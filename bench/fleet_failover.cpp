@@ -3,7 +3,7 @@
 // A 4-group zipf fleet (Table 1 'C', hash partitioner) loses the primary of
 // group 0 for the middle half of the measured window. The matrix contrasts:
 //
-//  * R=1 baseline   — no faults; the pre-replica fleet, for reference tails.
+//  * R=1 baseline   — no faults; the plain sharded fleet, for reference tails.
 //  * R=1 cliff      — the same outage with nobody to fail over to: the
 //    window's reads are unserved and availability falls off a cliff
 //    (~ group share x window share below 1).
@@ -175,8 +175,9 @@ int main(int argc, char** argv) {
                Table::fmt(r.p50_latency_us, 2), Table::fmt(r.p99_latency_us, 2),
                Table::fmt(r.p999_latency_us, 2),
                std::to_string(r.metrics.value("fleet.replica_failover_reads")),
-               // == fleet.replica_unserved_reads on the replica path; the
-               // legacy R=1 cells report the same thing as failed reads.
+               // Reads the fleet failed to serve. Outages here are
+               // fail-fast, so absent device faults this equals
+               // fleet.replica_unserved_reads: the primary's kReject reads.
                std::to_string(r.failed_reads),
                std::to_string(r.metrics.value("fleet.replica_stale_reads"))});
   }

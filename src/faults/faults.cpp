@@ -17,18 +17,6 @@ const char* to_string(DownShardPolicy policy) {
   return "?";  // unreachable: the assert above aborts
 }
 
-bool FleetFaultPlan::any() const {
-  for (const ShardOutage& o : outages)
-    if (o.active()) return true;
-  return false;
-}
-
-const ShardOutage* FleetFaultPlan::outage_for(std::size_t shard) const {
-  for (const ShardOutage& o : outages)
-    if (o.shard == shard) return &o;
-  return nullptr;
-}
-
 const ShardOutage* FleetFaultPlan::outage_for(std::size_t shard,
                                               std::size_t replica) const {
   for (const ShardOutage& o : outages)
@@ -36,34 +24,11 @@ const ShardOutage* FleetFaultPlan::outage_for(std::size_t shard,
   return nullptr;
 }
 
-bool FleetFaultPlan::shard_down_at(std::size_t shard,
-                                   std::uint64_t master_index) const {
-  const ShardOutage* o = outage_for(shard);
-  return o != nullptr && o->down_at(master_index);
-}
-
-bool FleetFaultPlan::replica_down_at(std::size_t shard, std::size_t replica,
-                                     std::uint64_t master_index) const {
-  const ShardOutage* o = outage_for(shard, replica);
-  return o != nullptr && o->down_at(master_index);
-}
-
 SimDuration FleetFaultPlan::total_retry_backoff() const {
   SimDuration total = 0;
   for (std::uint32_t k = 0; k < retry_attempts; ++k)
     total += retry_backoff_base << k;
   return total;
-}
-
-std::size_t effective_shard(const FleetFaultPlan& faults, std::size_t shards,
-                            std::size_t owner, std::uint64_t master_index) {
-  if (faults.policy != DownShardPolicy::kReroute) return owner;
-  if (!faults.shard_down_at(owner, master_index)) return owner;
-  for (std::size_t d = 1; d < shards; ++d) {
-    const std::size_t candidate = (owner + d) % shards;
-    if (!faults.shard_down_at(candidate, master_index)) return candidate;
-  }
-  return owner;  // whole fleet down: nobody can take it off the owner
 }
 
 }  // namespace pipette

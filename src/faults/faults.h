@@ -86,20 +86,20 @@ struct FaultPlan {
   }
 };
 
-/// What a client does with a request whose owning shard is down.
+/// What a client does with a read no copy of its owning shard can serve.
 enum class DownShardPolicy {
   kFailFast,      // error immediately after fail_fast_latency
   kRetryBackoff,  // back off exponentially; replay against the recovered shard
-  kReroute,       // serve on the partitioner's failover target (next up shard)
+  kReroute,       // serve on the next shard in ring order with an up copy
 };
 
 const char* to_string(DownShardPolicy policy);
 
 /// One shard's outage window, in master-stream request indices (the fleet's
 /// deterministic clock): the shard is down for requests with index in
-/// [fail_at, recover_at) and comes back with cold host caches. Under a
-/// replicated fleet `replica` selects which copy of the group dies (0 = the
-/// primary); replica-free fleets require it to stay 0.
+/// [fail_at, recover_at) and comes back with cold host caches (a kReroute
+/// outage is a routing drain and keeps them). `replica` selects which copy
+/// of the group dies (0 = the primary, the only copy of an R=1 fleet).
 struct ShardOutage {
   std::size_t shard = 0;
   std::uint64_t fail_at = 0;
@@ -122,27 +122,11 @@ struct FleetFaultPlan {
   SimDuration retry_backoff_base = 1 * kMs;
   std::uint32_t retry_attempts = 3;
 
-  bool any() const;
-  /// First outage scheduled for `shard`, any replica (the replica-free
-  /// fleet's lookup, where at most one copy of each shard exists).
-  const ShardOutage* outage_for(std::size_t shard) const;
-  /// Outage scheduled for one specific copy of a replicated group.
+  /// Outage scheduled for one specific copy of a group.
   const ShardOutage* outage_for(std::size_t shard, std::size_t replica) const;
-  bool shard_down_at(std::size_t shard, std::uint64_t master_index) const;
-  /// Whether replica `replica` of group `shard` is down at `master_index`.
-  bool replica_down_at(std::size_t shard, std::size_t replica,
-                       std::uint64_t master_index) const;
   /// Total wait of the full backoff ladder: sum of base << k over attempts.
   SimDuration total_retry_backoff() const;
 };
-
-/// The serving shard for master request `index` whose key-owner is `owner`:
-/// the owner itself, unless it is down and the policy reroutes, in which
-/// case the next up shard in ring order is the failover target. Pure
-/// function — the counting pre-pass and every shard's stream filter call
-/// it and must agree, which is what keeps jobs-1 == jobs-N under faults.
-std::size_t effective_shard(const FleetFaultPlan& faults, std::size_t shards,
-                            std::size_t owner, std::uint64_t master_index);
 
 /// A component's private fault stream. fire(rate) returns true with
 /// probability `rate` — and, crucially, consumes NO randomness when the

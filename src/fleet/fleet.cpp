@@ -2,26 +2,15 @@
 
 #include <algorithm>
 #include <chrono>
+#include <compare>
 #include <future>
 #include <utility>
 
 #include "common/assert.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
-#include "fleet/shard_workload.h"
 
 namespace pipette {
-
-const char* to_string(SubstreamMode mode) {
-  switch (mode) {
-    case SubstreamMode::kPartitioned:
-      return "partitioned";
-    case SubstreamMode::kIndependent:
-      return "independent";
-  }
-  PIPETTE_ASSERT_MSG(false, "unknown SubstreamMode");
-  return "?";  // unreachable: the assert above aborts
-}
 
 bool deterministic_equal(const FleetResult& a, const FleetResult& b) {
   if (a.Deterministic() != b.Deterministic()) return false;
@@ -32,24 +21,6 @@ bool deterministic_equal(const FleetResult& a, const FleetResult& b) {
       return false;
   }
   return true;
-}
-
-Shard::Shard(std::size_t index, const MachineConfig& config,
-             std::span<const FileSpec> files)
-    : index_(index), machine_(config, files) {}
-
-RunResult Shard::run(Workload& sub_stream, const RunConfig& plan) {
-  return run_experiment_on(machine_, sub_stream, plan);
-}
-
-RunResult Shard::run(Workload& sub_stream, const RunConfig& plan,
-                     const RunHooks& hooks) {
-  return run_experiment_on(machine_, sub_stream, plan, hooks);
-}
-
-RunResult Shard::run(Workload& sub_stream, const RunConfig& plan,
-                     const RunHooks& hooks, RunArena* arena) {
-  return run_experiment_on(machine_, sub_stream, plan, hooks, arena);
 }
 
 FleetRunner::FleetRunner(FleetConfig config,
@@ -63,16 +34,8 @@ FleetRunner::FleetRunner(FleetConfig config,
                          config_.shard_machines.size() == config_.shards,
                      "shard_machines must be empty or one per shard");
   PIPETTE_ASSERT(make_workload_ != nullptr);
-  PIPETTE_ASSERT_MSG(!config_.faults.any() ||
-                         config_.substream == SubstreamMode::kPartitioned,
-                     "outage schedules are keyed on master-stream indices, "
-                     "which only exist in partitioned mode");
   const ReplicationConfig& repl = config_.replication;
   PIPETTE_ASSERT_MSG(repl.replicas >= 1, "a group needs at least one copy");
-  PIPETTE_ASSERT_MSG(!repl.any() ||
-                         config_.substream == SubstreamMode::kPartitioned,
-                     "replica groups are keyed on the master-stream clock, "
-                     "which only exists in partitioned mode");
   PIPETTE_ASSERT_MSG(repl.shadow_read_fraction >= 0.0 &&
                          repl.shadow_read_fraction <= 1.0,
                      "shadow_read_fraction is a probability");
@@ -92,242 +55,45 @@ FleetRunner::FleetRunner(FleetConfig config,
   }
 }
 
-MachineConfig FleetRunner::shard_machine(std::size_t shard) const {
-  MachineConfig machine = config_.shard_machines.empty()
-                              ? config_.machine
-                              : config_.shard_machines[shard];
-  // Every shard's device draws from a private fault sub-stream; without the
-  // split each device would replay the identical error trace. A zero-rate
-  // plan never draws, so reseeding keeps fault-free runs bit-identical.
-  machine.ssd.faults.seed = Rng::split_seed(machine.ssd.faults.seed, shard);
-  return machine;
-}
-
-FleetResult FleetRunner::run(const RunConfig& run, unsigned jobs) const {
-  if (config_.replication.any()) return run_replicated(run, jobs);
-  const auto host_t0 = std::chrono::steady_clock::now();
-  const std::size_t shards = config_.shards;
-  const bool partitioned = config_.substream == SubstreamMode::kPartitioned;
-  const FleetFaultPlan& faults = config_.faults;
-
-  // Per-shard phase sizes. Partitioned mode takes them from a counting
-  // pre-pass over the master stream — pure RNG work, no simulation — so
-  // every shard's warmup/measured boundary lands exactly on the fleet-wide
-  // one. Independent mode gives every replica the full counts. Under a
-  // fault plan the pre-pass routes by effective_shard(), so kReroute
-  // traffic is counted against the failover target, and it tallies the
-  // measured requests whose owner was down.
-  // Pre-pass plans start from `run` with zeroed phase counts (not a braced
-  // zero) so run-level options like the timeline config carry into every
-  // shard's plan.
-  RunConfig zero_plan = run;
-  zero_plan.warmup = 0;
-  zero_plan.requests = 0;
-  std::vector<RunConfig> plans(shards, partitioned ? zero_plan : run);
-  std::vector<std::uint64_t> down_measured(shards, 0);
-  if (partitioned) {
-    std::unique_ptr<Workload> master = make_workload_(seed_);
-    PIPETTE_ASSERT_MSG(master != nullptr, "fleet workload factory failed");
-    const Partitioner part(config_.partition, shards, master->files());
-    for (std::uint64_t i = 0; i < run.warmup; ++i) {
-      const std::size_t owner = part.shard_of(master->next());
-      ++plans[effective_shard(faults, shards, owner, i)].warmup;
-    }
-    for (std::uint64_t i = 0; i < run.requests; ++i) {
-      const std::uint64_t index = run.warmup + i;
-      const std::size_t owner = part.shard_of(master->next());
-      if (faults.shard_down_at(owner, index)) ++down_measured[owner];
-      ++plans[effective_shard(faults, shards, owner, index)].requests;
-    }
-  }
-
-  std::vector<RunResult> shard_results(shards);
-  auto run_shard = [&](std::size_t s, RunArena& arena) {
-    const std::uint64_t shard_seed =
-        partitioned ? seed_ : Rng::split_seed(seed_, s);
-    std::unique_ptr<Workload> master = make_workload_(shard_seed);
-    PIPETTE_ASSERT_MSG(master != nullptr, "fleet workload factory failed");
-    if (!partitioned) {
-      Shard shard(s, shard_machine(s), master->files());
-      shard_results[s] = shard.run(*master, plans[s], RunHooks{}, &arena);
-      return;
-    }
-    const Partitioner part(config_.partition, shards, master->files());
-    ShardWorkload sub(std::move(master), part, s,
-                      faults.any() ? &faults : nullptr);
-    Shard shard(s, shard_machine(s), sub.files());
-
-    const ShardOutage* outage = faults.outage_for(s);
-    if (outage == nullptr || !outage->active()) {
-      shard_results[s] = shard.run(sub, plans[s], RunHooks{}, &arena);
-      return;
-    }
-
-    if (faults.policy == DownShardPolicy::kReroute) {
-      // Normally a rerouted shard serves nothing during its own window (the
-      // filter sends its traffic to the failover target), so this hook never
-      // fires. The exception is a window where *every* shard is down:
-      // effective_shard() has nowhere to send the request and returns the
-      // owner, and without this guard the down shard would silently serve
-      // it. Reject it fail-fast instead — the window must show up as failed
-      // reads, not vanish into a healthy-looking histogram. No cold restart
-      // at recovery: reroute models a routing drain, the machine never
-      // stopped running (pinned by the golden fleet fixture).
-      RunHooks hooks;
-      hooks.on_request = [&](const Request& req, const RunHooks::IssueFn&) {
-        if (!outage->down_at(sub.last_master_index())) return false;
-        shard.machine().path().reject_request(req.is_write,
-                                              faults.fail_fast_latency);
-        return true;
-      };
-      shard_results[s] = shard.run(sub, plans[s], hooks, &arena);
-      return;
-    }
-
-    // Outage interceptor (fail-fast / retry-backoff): a request landing in
-    // the outage window is rejected or deferred instead of issued; the
-    // first request at or after recovery cold-restarts the machine (host
-    // caches come back empty) and replays the deferrals, each charged its
-    // client's full backoff ladder.
-    struct Deferred {
-      Request req;
-      bool measured;
-    };
-    std::vector<Deferred> deferred;
-    std::uint64_t client_retries = 0;
-    bool recovered = false;
-    RunHooks hooks;
-    hooks.on_request = [&](const Request& req,
-                           const RunHooks::IssueFn& issue) {
-      const std::uint64_t index = sub.last_master_index();
-      if (!recovered && index >= outage->recover_at) {
-        recovered = true;
-        shard.machine().cold_restart();
-        for (const Deferred& d : deferred) {
-          shard.machine().sim().advance(faults.total_retry_backoff());
-          if (d.measured) client_retries += faults.retry_attempts;
-          issue(d.req);
-        }
-        deferred.clear();
-      }
-      if (!outage->down_at(index)) return false;
-      if (faults.policy == DownShardPolicy::kFailFast) {
-        shard.machine().path().reject_request(req.is_write,
-                                              faults.fail_fast_latency);
-        return true;
-      }
-      deferred.push_back({req, index >= run.warmup});
-      return true;
-    };
-    RunResult result = shard.run(sub, plans[s], hooks, &arena);
-    // Deferrals still parked when the stream ends (recovery lies beyond the
-    // run) exhausted their backoff ladder without an answer: failures.
-    for (const Deferred& d : deferred) {
-      if (!d.measured) continue;
-      client_retries += faults.retry_attempts;
-      if (!d.req.is_write) ++result.failed_reads;
-    }
-    result.retries += client_retries;
-    shard_results[s] = result;
-  };
-
-  // Cache-local execution: shard s is pinned to worker s % workers, and
-  // each worker runs its shards in ascending order against one RunArena, so
-  // scratch pools stay warm in that worker's cache across shards. The
-  // assignment is a pure function of (shards, workers) — never of timing —
-  // so jobs-1 and jobs-N runs stay bit-identical (asserted by fleet_test).
-  if (jobs == 0) jobs = ThreadPool::default_threads();
-  const std::size_t workers = std::min<std::size_t>(jobs, shards);
-  if (workers <= 1) {
-    RunArena arena;
-    for (std::size_t s = 0; s < shards; ++s) run_shard(s, arena);
-  } else {
-    ThreadPool pool(static_cast<unsigned>(workers));
-    std::vector<RunArena> arenas(workers);
-    std::vector<std::future<void>> pending;
-    pending.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      pending.push_back(pool.submit([&run_shard, &arenas, w, workers, shards] {
-        for (std::size_t s = w; s < shards; s += workers)
-          run_shard(s, arenas[w]);
-      }));
-    }
-    for (std::future<void>& f : pending) f.get();  // rethrows task failures
-  }
-
-  FleetResult out;
-  out.shard_results = std::move(shard_results);
-  // Guards below keep the merge total for degenerate fleets — zero-request
-  // runs, shards that served nothing (down the whole stream, or an empty
-  // partition slice) — instead of dividing by zero or indexing into an
-  // empty result set.
-  out.min_shard_requests = out.shard_results.empty() ? 0 : ~0ull;
-  for (std::size_t s = 0; s < out.shard_results.size(); ++s) {
-    RunResult& r = out.shard_results[s];
-    r.down_requests += down_measured[s];
-    out.requests += r.requests;
-    out.measured_reads += r.measured_reads;
-    out.bytes_requested += r.bytes_requested;
-    out.traffic_bytes += r.traffic_bytes;
-    out.events_executed += r.events_executed;
-    out.retries += r.retries;
-    out.failed_reads += r.failed_reads;
-    out.degraded_reads += r.degraded_reads;
-    out.down_requests += r.down_requests;
-    out.makespan = std::max(out.makespan, r.elapsed);
-    out.latency.merge(r.read_latency);
-    out.metrics.merge_add(r.metrics);
-    merge_stage_latency(out.stage_latency, r.stage_latency);
-    if (r.requests > out.max_shard_requests) {
-      out.max_shard_requests = r.requests;
-      out.hottest_shard = s;
-    }
-    out.min_shard_requests = std::min(out.min_shard_requests, r.requests);
-  }
-  // Percentile readouts only when the merged histogram has samples — a
-  // window (or whole run) where every shard was down merges an empty
-  // histogram, and the readouts must stay 0 rather than divide by zero.
-  if (out.latency.count() > 0) {
-    out.mean_latency_us = out.latency.mean_ns() / 1e3;
-    out.p50_latency_us = to_us(out.latency.percentile(50));
-    out.p99_latency_us = to_us(out.latency.percentile(99));
-    out.p999_latency_us = to_us(out.latency.percentile(99.9));
-  }
-  out.mean_shard_requests =
-      shards == 0 ? 0.0
-                  : static_cast<double>(out.requests) /
-                        static_cast<double>(shards);
-  out.load_imbalance =
-      out.mean_shard_requests == 0.0
-          ? 0.0
-          : static_cast<double>(out.max_shard_requests) /
-                out.mean_shard_requests;
-  if (!out.shard_results.empty()) {
-    out.hottest_shard_fgrc_hit_ratio =
-        out.shard_results[out.hottest_shard].fgrc_hit_ratio;
-  }
-  out.host_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - host_t0)
-          .count();
-  return out;
-}
-
-MachineConfig FleetRunner::replica_machine(std::size_t group,
-                                           std::size_t machine_id) const {
+MachineConfig FleetRunner::machine_config(std::size_t machine_id) const {
+  const std::size_t group = machine_id / config_.replication.replicas;
   MachineConfig machine = config_.shard_machines.empty()
                               ? config_.machine
                               : config_.shard_machines[group];
-  // Same per-device fault-seed split as shard_machine(), keyed by the
-  // global machine id so every copy draws a private error trace. With R=1
-  // machine_id == group, so a one-copy fleet splits identically to the
-  // legacy path.
+  // Every machine's device draws from a private fault sub-stream; without
+  // the split each device would replay the identical error trace. A
+  // zero-rate plan never draws, so reseeding keeps fault-free runs
+  // bit-identical.
   machine.ssd.faults.seed =
       Rng::split_seed(machine.ssd.faults.seed, machine_id);
   return machine;
 }
 
-FleetResult FleetRunner::run_replicated(const RunConfig& run,
-                                        unsigned jobs) const {
+namespace {
+
+/// One leg of a quorum read, as the client saw it.
+struct QuorumLeg {
+  std::uint64_t index;
+  SimDuration latency;
+  std::uint32_t len;
+
+  auto operator<=>(const QuorumLeg&) const = default;
+};
+
+/// The measured client reads one machine answered. Singleton serves are
+/// recorded straight into the histogram; only quorum legs wait for the
+/// cross-machine join.
+struct ClientReads {
+  LatencyHistogram latency;
+  std::uint64_t served = 0;
+  std::uint64_t bytes = 0;
+  std::uint64_t penalty_ns = 0;  // failover detection latency charged
+  std::vector<QuorumLeg> quorum_legs;
+};
+
+}  // namespace
+
+FleetResult FleetRunner::run(const RunConfig& run, unsigned jobs) const {
   const auto host_t0 = std::chrono::steady_clock::now();
   const ReplicationConfig& repl = config_.replication;
   const FleetFaultPlan& faults = config_.faults;
@@ -336,13 +102,17 @@ FleetResult FleetRunner::run_replicated(const RunConfig& run,
   const std::size_t machines = groups * replicas;
 
   // Counting pre-pass: replay the master stream through a private router to
-  // size every machine's warmup/measured phases. The same router instance
-  // also yields the client-side tallies (attempted reads, failovers, quorum
-  // legs, migration progress) — pure RNG/arithmetic work, no simulation.
+  // size every machine's warmup/measured phases, so each machine's phases
+  // cut at the fleet-wide master-stream boundary. The same router also
+  // yields the client-side tallies (attempted reads, failovers, quorum legs,
+  // migration progress) — pure RNG/arithmetic work, no simulation. Plans
+  // start from `run` with zeroed phase counts (not a braced zero) so
+  // run-level options like the timeline config carry into every machine.
   RunConfig zero_plan = run;
   zero_plan.warmup = 0;
   zero_plan.requests = 0;
   std::vector<RunConfig> plans(machines, zero_plan);
+  std::vector<std::uint64_t> down_requests(machines, 0);
   ReplicaCounters counters;
   std::uint64_t lost_writes = 0;
   {
@@ -364,21 +134,12 @@ FleetResult FleetRunner::run_replicated(const RunConfig& run,
     }
     counters = router.counters();
     lost_writes = router.pending_catchup_writes();
+    for (std::uint32_t m = 0; m < machines; ++m)
+      down_requests[m] = router.down_requests(m);
   }
 
-  // Per-machine capture of client-relevant read latencies. A successful
-  // read's path-recorded latency equals the sim-time delta across the
-  // closed-loop issue, so composing from hook-captured deltas reproduces
-  // path-recorded values bit-for-bit. A device-failed read records nothing
-  // (detected via the failed_reads counter) and is charged to the client as
-  // a failure by the composition below.
-  struct ReadRecord {
-    std::uint64_t index;
-    SimDuration latency;
-    ReplicaRole role;
-  };
-  std::vector<std::vector<ReadRecord>> records(machines);
   std::vector<RunResult> machine_results(machines);
+  std::vector<ClientReads> client_reads(machines);
 
   auto run_machine = [&](std::size_t m, RunArena& arena) {
     std::unique_ptr<Workload> master = make_workload_(seed_);
@@ -386,45 +147,103 @@ FleetResult FleetRunner::run_replicated(const RunConfig& run,
     const Partitioner part(config_.partition, groups, master->files());
     ReplicaWorkload sub(std::move(master), repl, faults, part,
                         static_cast<std::uint32_t>(m), seed_, run.warmup);
-    const std::size_t group = m / replicas;
-    Shard shard(m, replica_machine(group, m), sub.files());
-    const ShardOutage* outage = faults.outage_for(group, m % replicas);
-    const bool has_outage = outage != nullptr && outage->active();
+    Machine machine(machine_config(m), sub.files());
+    ClientReads& client = client_reads[m];
+
+    // Issue a client read and, if it is measured and returned data, record
+    // what the client saw. A successful read's path-recorded latency equals
+    // the sim-time delta across the closed-loop issue, so the client view
+    // reproduces path-recorded values bit-for-bit; a device-failed read
+    // records nothing and the composition below charges it as a failure.
+    auto issue_read = [&](const ReplicaAssignment& a,
+                          const RunHooks::IssueFn& issue) {
+      const SimTime t0 = machine.sim().now();
+      const std::uint64_t failed0 = machine.path().stats().failed_reads;
+      issue(a.req);
+      if (a.index < run.warmup ||
+          machine.path().stats().failed_reads != failed0)
+        return;
+      const SimDuration latency = machine.sim().now() - t0;
+      if (a.role == ReplicaRole::kQuorumServe) {
+        client.quorum_legs.push_back({a.index, latency, a.req.len});
+        return;
+      }
+      if (a.role == ReplicaRole::kFailoverServe) {
+        // The client burned the fail-fast detection latency before
+        // re-issuing to the standby.
+        client.latency.record(latency + faults.fail_fast_latency);
+        client.penalty_ns +=
+            static_cast<std::uint64_t>(faults.fail_fast_latency);
+      } else {
+        client.latency.record(latency);
+      }
+      ++client.served;
+      client.bytes += a.req.len;
+    };
+
+    // Outage handling. A down copy only ever sees kReject/kDefer reads. The
+    // first assignment at or past recovery cold-restarts the machine (host
+    // caches come back empty) unless the outage was a kReroute drain; its
+    // catch-up writes follow, then the parked deferrals replay — each after
+    // its client's full backoff ladder — before any newer work.
+    const ShardOutage* outage = faults.outage_for(m / replicas, m % replicas);
+    const bool restarts = outage != nullptr && outage->active() &&
+                          faults.policy != DownShardPolicy::kReroute;
     bool restarted = false;
-    std::vector<ReadRecord>& recs = records[m];
+    std::vector<ReplicaAssignment> parked;
+    std::uint64_t backoff_retries = 0;
     RunHooks hooks;
-    hooks.on_request = [&](const Request& req,
-                           const RunHooks::IssueFn& issue) {
+    hooks.on_request = [&](const Request&, const RunHooks::IssueFn& issue) {
       const ReplicaAssignment& a = sub.last();
-      if (has_outage && !restarted && a.index >= outage->recover_at) {
-        // First assignment at or past recovery: the copy comes back with
-        // cold host caches; its catch-up writes are the next assignments.
+      if (restarts && !restarted && a.index >= outage->recover_at) {
         restarted = true;
-        shard.machine().cold_restart();
+        machine.cold_restart();
       }
-      const bool client_read =
-          !req.is_write && (a.role == ReplicaRole::kServe ||
-                            a.role == ReplicaRole::kFailoverServe ||
-                            a.role == ReplicaRole::kQuorumServe);
-      if (!client_read) {
-        issue(req);
-        return true;
+      switch (a.role) {
+        case ReplicaRole::kReject:
+          machine.path().reject_read(faults.fail_fast_latency);
+          return true;
+        case ReplicaRole::kDefer:
+          parked.push_back(a);
+          return true;
+        case ReplicaRole::kCatchupWrite:
+          issue(a.req);
+          return true;
+        default:
+          break;
       }
-      const SimTime t0 = shard.machine().sim().now();
-      const std::uint64_t failed0 =
-          shard.machine().path().stats().failed_reads;
-      issue(req);
-      if (shard.machine().path().stats().failed_reads == failed0) {
-        recs.push_back({a.index, shard.machine().sim().now() - t0, a.role});
+      for (const ReplicaAssignment& d : parked) {
+        machine.sim().advance(faults.total_retry_backoff());
+        if (d.index >= run.warmup) backoff_retries += faults.retry_attempts;
+        issue_read(d, issue);
+      }
+      parked.clear();
+      if (a.req.is_write || a.role == ReplicaRole::kShadowRead ||
+          a.role == ReplicaRole::kWarmRead) {
+        issue(a.req);
+      } else {
+        issue_read(a, issue);
       }
       return true;
     };
-    machine_results[m] = shard.run(sub, plans[m], hooks, &arena);
+    RunResult result = run_experiment_on(machine, sub, plans[m], hooks, &arena);
+    // Deferrals still parked when the stream ends (recovery lies beyond the
+    // run) exhausted their backoff ladder without an answer: failures.
+    for (const ReplicaAssignment& d : parked) {
+      if (d.index < run.warmup) continue;
+      backoff_retries += faults.retry_attempts;
+      ++result.failed_reads;
+    }
+    result.retries += backoff_retries;
+    result.down_requests = down_requests[m];
+    machine_results[m] = std::move(result);
   };
 
-  // Same pure pinning scheme as the legacy path — machine m runs on worker
-  // m % workers, each worker ascending over its machines with one arena —
-  // so jobs-1 and jobs-N replica runs stay bit-identical.
+  // Cache-local execution: machine m is pinned to worker m % workers, and
+  // each worker runs its machines in ascending order against one RunArena,
+  // so scratch pools stay warm in that worker's cache across machines. The
+  // assignment is a pure function of (machines, workers) — never of timing
+  // — so jobs-1 and jobs-N runs stay bit-identical (asserted by fleet_test).
   if (jobs == 0) jobs = ThreadPool::default_threads();
   const std::size_t workers = std::min<std::size_t>(jobs, machines);
   if (workers <= 1) {
@@ -445,68 +264,58 @@ FleetResult FleetRunner::run_replicated(const RunConfig& run,
     for (std::future<void>& f : pending) f.get();  // rethrows task failures
   }
 
-  // Client-side composition: serial, pure arithmetic over the captured
-  // records. Singleton serves (kServe / kFailoverServe) record directly —
-  // a failover serve additionally charges the fail-fast detection latency
-  // the client burned before re-issuing. Quorum legs are pooled, grouped by
-  // master index, and the client completes on the k'-th fastest where
-  // k' = min(quorum_k, legs that answered).
+  // Client-side composition: serial, pure arithmetic. Singleton serves
+  // merge bucket-wise; quorum legs are pooled, grouped by master index, and
+  // the client completes on the k'-th fastest where k' = min(quorum_k, legs
+  // that answered).
   LatencyHistogram client;
   std::uint64_t served = 0;
+  std::uint64_t served_bytes = 0;
   std::uint64_t failover_penalty_ns = 0;
-  std::vector<std::pair<std::uint64_t, SimDuration>> quorum_legs;
-  for (std::size_t m = 0; m < machines; ++m) {
-    for (const ReadRecord& r : records[m]) {
-      if (r.index < run.warmup) continue;
-      if (r.role == ReplicaRole::kQuorumServe) {
-        quorum_legs.push_back({r.index, r.latency});
-        continue;
-      }
-      SimDuration latency = r.latency;
-      if (r.role == ReplicaRole::kFailoverServe) {
-        latency += faults.fail_fast_latency;
-        failover_penalty_ns +=
-            static_cast<std::uint64_t>(faults.fail_fast_latency);
-      }
-      client.record(latency);
-      ++served;
-    }
+  std::vector<QuorumLeg> quorum_legs;
+  for (const ClientReads& c : client_reads) {
+    client.merge(c.latency);
+    served += c.served;
+    served_bytes += c.bytes;
+    failover_penalty_ns += c.penalty_ns;
+    quorum_legs.insert(quorum_legs.end(), c.quorum_legs.begin(),
+                       c.quorum_legs.end());
   }
-  if (!quorum_legs.empty()) {
-    std::sort(quorum_legs.begin(), quorum_legs.end());
-    for (std::size_t i = 0; i < quorum_legs.size();) {
-      std::size_t j = i;
-      while (j < quorum_legs.size() &&
-             quorum_legs[j].first == quorum_legs[i].first)
-        ++j;
-      const std::size_t kth =
-          std::min<std::size_t>(repl.quorum_k, j - i);
-      client.record(quorum_legs[i + kth - 1].second);
-      ++served;
-      i = j;
-    }
+  std::sort(quorum_legs.begin(), quorum_legs.end());
+  for (std::size_t i = 0; i < quorum_legs.size();) {
+    std::size_t j = i;
+    while (j < quorum_legs.size() &&
+           quorum_legs[j].index == quorum_legs[i].index)
+      ++j;
+    const std::size_t kth = std::min<std::size_t>(repl.quorum_k, j - i);
+    client.record(quorum_legs[i + kth - 1].latency);
+    ++served;
+    served_bytes += quorum_legs[i].len;
+    i = j;
   }
 
   FleetResult out;
   out.shard_results = std::move(machine_results);
   out.requests = run.requests;  // the client's measured request count
   out.measured_reads = served;
-  out.bytes_requested = counters.client_read_bytes;
+  out.bytes_requested = served_bytes;
   out.failed_reads = counters.client_reads - served;
   out.down_requests = counters.down_requests;
   out.retries = counters.client_retries;
   // Normalize extremes to representative bucket values (diff against an
-  // empty snapshot recomputes them from the buckets), matching the legacy
-  // path whose measured histograms all pass through diff(). Without this
-  // the R=1 parity would hold for every bucket yet fail on exact-vs-
-  // representative min/max.
+  // empty snapshot recomputes them from the buckets), exactly as every
+  // machine's measured-phase histogram passes through diff(). Without this
+  // a 1-machine fleet would match run_experiment in every bucket yet differ
+  // on exact-vs-representative min/max.
   out.latency = client.diff(LatencyHistogram{});
 
   // Device-level sums over every machine: replication fan-out, shadow and
   // warm reads all count here, which is exactly the point — availability
-  // costs device work, and these fields price it.
+  // costs device work, and these fields price it. Guards keep the merge
+  // total for degenerate fleets: zero-request runs, machines that served
+  // nothing (down the whole stream, or an empty partition slice).
   std::uint64_t device_requests = 0;
-  out.min_shard_requests = out.shard_results.empty() ? 0 : ~0ull;
+  out.min_shard_requests = ~0ull;
   for (std::size_t m = 0; m < out.shard_results.size(); ++m) {
     const RunResult& r = out.shard_results[m];
     device_requests += r.requests;
@@ -523,25 +332,24 @@ FleetResult FleetRunner::run_replicated(const RunConfig& run,
     }
     out.min_shard_requests = std::min(out.min_shard_requests, r.requests);
   }
+  // Percentile readouts only when the histogram has samples — a window (or
+  // whole run) where every copy was down composes an empty histogram, and
+  // the readouts must stay 0 rather than divide by zero.
   if (out.latency.count() > 0) {
     out.mean_latency_us = out.latency.mean_ns() / 1e3;
     out.p50_latency_us = to_us(out.latency.percentile(50));
     out.p99_latency_us = to_us(out.latency.percentile(99));
     out.p999_latency_us = to_us(out.latency.percentile(99.9));
   }
-  out.mean_shard_requests =
-      machines == 0 ? 0.0
-                    : static_cast<double>(device_requests) /
-                          static_cast<double>(machines);
+  out.mean_shard_requests = static_cast<double>(device_requests) /
+                            static_cast<double>(machines);
   out.load_imbalance =
       out.mean_shard_requests == 0.0
           ? 0.0
           : static_cast<double>(out.max_shard_requests) /
                 out.mean_shard_requests;
-  if (!out.shard_results.empty()) {
-    out.hottest_shard_fgrc_hit_ratio =
-        out.shard_results[out.hottest_shard].fgrc_hit_ratio;
-  }
+  out.hottest_shard_fgrc_hit_ratio =
+      out.shard_results[out.hottest_shard].fgrc_hit_ratio;
 
   // Router-level counters join the merged machine registries under fleet.*
   // so one MetricsRegistry tells the whole availability story.

@@ -7,21 +7,22 @@
 // latency set by the hottest shard) is qualitatively different from any
 // single-machine result. This layer simulates exactly that:
 //
-//  * Shard       — one Machine (and with it a private Simulator) plus the
-//                  shard's index; runs its sub-stream to a RunResult.
 //  * FleetConfig — shard count, key->shard partitioning scheme, the base
-//                  MachineConfig and optional per-shard overrides.
-//  * FleetRunner — fans the shards across a ThreadPool and aggregates a
-//                  FleetResult.
+//                  MachineConfig, optional per-shard overrides, outages and
+//                  replica groups.
+//  * FleetRunner — routes the master stream through a ReplicaRouter, runs
+//                  one Machine (and with it a private Simulator) per
+//                  machine id across a ThreadPool, and composes the
+//                  client's view into a FleetResult.
 //
 // Determinism contract (what fleet_test pins):
-//  * Same seed => bit-identical FleetResult, at any job count. Shards never
-//    share mutable state; each one is a self-contained simulation.
-//  * In kPartitioned mode every shard replays the same master stream
-//    (splittable-RNG seeding keeps it a pure function of the fleet seed)
-//    and serves only its keys, so a k-shard fleet serves exactly the
-//    per-key request sequence of the 1-shard run — and a 1-shard fleet IS
-//    the single-machine experiment, field for field.
+//  * Same seed => bit-identical FleetResult, at any job count. Machines
+//    never share mutable state; each one is a self-contained simulation.
+//  * Every machine replays the same master stream (splittable-RNG seeding
+//    keeps it a pure function of the fleet seed) and serves only what the
+//    router assigns it, so a k-shard fleet serves exactly the per-key
+//    request sequence of the 1-shard run — and a 1-shard fleet IS the
+//    single-machine experiment, field for field.
 #pragma once
 
 #include <cstdint>
@@ -37,65 +38,45 @@
 
 namespace pipette {
 
-/// Constructs a workload from a seed. Called once per shard (plus once for
-/// the partitioned-mode counting pre-pass); every call with the same seed
-/// must yield an identical stream.
+/// Constructs a workload from a seed. Called once for the counting
+/// pre-pass, then once per machine (made just before that machine, dropped
+/// just after it); every call with the same seed must yield an identical
+/// stream.
 using SeededWorkloadFactory =
     std::function<std::unique_ptr<Workload>(std::uint64_t seed)>;
-
-/// How shard sub-streams derive from the fleet workload seed.
-enum class SubstreamMode {
-  /// Every shard replays the master stream (same seed) and serves the
-  /// requests its partitioner maps to it: one dataset partitioned across
-  /// the fleet. Request counts per shard follow the key popularity.
-  kPartitioned,
-  /// Shard s runs its own full stream seeded with Rng::split_seed(seed, s):
-  /// k independent replicas each facing private traffic (a replicated tier
-  /// behind a random load balancer). The partitioner is not consulted.
-  kIndependent,
-};
-
-const char* to_string(SubstreamMode mode);
 
 struct FleetConfig {
   std::size_t shards = 1;
   PartitionScheme partition = PartitionScheme::kHash;
-  SubstreamMode substream = SubstreamMode::kPartitioned;
   /// Base machine for every shard.
   MachineConfig machine;
   /// Optional per-shard overrides: empty, or exactly one entry per shard
   /// (heterogeneous fleets: a straggler shard, mixed path kinds, ...).
   std::vector<MachineConfig> shard_machines;
   /// Shard outage schedule + down-shard policy. Outages are indexed by
-  /// master-stream position (the fleet's deterministic clock), so an active
-  /// schedule requires kPartitioned mode. Device-level fault rates live in
-  /// machine.ssd.faults; the runner splits that plan's seed per shard so
-  /// each device draws a private error trace.
+  /// master-stream position (the fleet's deterministic clock). Device-level
+  /// fault rates live in machine.ssd.faults; the runner splits that plan's
+  /// seed per machine so each device draws a private error trace.
   FleetFaultPlan faults;
   /// Replica groups, read policy, shadow reads, and live resharding (see
-  /// fleet/replica.h). The default — R=1, kPrimaryOnly, no shadow reads, no
-  /// migration — is replication.any() == false and takes the legacy
-  /// single-copy code path, bit-identical to the pre-replica fleet
-  /// (golden-pinned). Anything else routes the run through the
-  /// ReplicaRouter; with `shards` groups of `replication.replicas` copies,
-  /// machine ids are group * R + replica and shard_results holds one entry
-  /// per machine. Requires kPartitioned mode (the router is keyed on the
-  /// master-stream clock).
+  /// fleet/replica.h). With `shards` groups of `replication.replicas`
+  /// copies, machine ids are group * R + replica and shard_results holds
+  /// one entry per machine; the default R=1 makes machine id == shard.
   ReplicationConfig replication;
 };
 
 struct FleetResult {
-  /// One per shard, in shard order — or, under replication, one per
-  /// machine in machine-id order (group * R + replica).
+  /// One per machine, in machine-id order (group * R + replica; the shard
+  /// index when R=1).
   std::vector<RunResult> shard_results;
 
-  // Fleet-wide totals over the measured phase (sums across shards). Under
-  // replication the client-facing fields (requests, measured_reads,
-  // bytes_requested, latency and its percentiles, failed_reads) describe
-  // the *client's* view composed by the router — one value per master
-  // request, quorum legs joined on the k-th fastest — while traffic_bytes,
-  // events_executed and the load-imbalance block sum the device-level work
-  // of every machine (replicated writes, shadow/warm reads included).
+  // Fleet-wide totals over the measured phase. The client-facing fields
+  // (requests, measured_reads, bytes_requested, latency and its
+  // percentiles, failed_reads) describe the *client's* view composed from
+  // the router's assignments — one value per master request, quorum legs
+  // joined on the k-th fastest — while traffic_bytes, events_executed and
+  // the load-imbalance block sum the device-level work of every machine
+  // (replicated writes, shadow/warm reads included).
   std::uint64_t requests = 0;
   std::uint64_t measured_reads = 0;
   std::uint64_t bytes_requested = 0;
@@ -192,58 +173,25 @@ struct FleetResult {
 /// aggregates and each shard's RunResult::Deterministic().
 bool deterministic_equal(const FleetResult& a, const FleetResult& b);
 
-/// One machine of the fleet. Owns the Machine — and through it a private
-/// Simulator — so shards can run concurrently without sharing any state.
-class Shard {
- public:
-  Shard(std::size_t index, const MachineConfig& config,
-        std::span<const FileSpec> files);
-
-  std::size_t index() const { return index_; }
-  Machine& machine() { return machine_; }
-
-  /// Drive `sub_stream` through this shard's machine: `plan.warmup` cache-
-  /// warming requests, then `plan.requests` measured ones. The hooked
-  /// variant intercepts every request (outage policies).
-  RunResult run(Workload& sub_stream, const RunConfig& plan);
-  RunResult run(Workload& sub_stream, const RunConfig& plan,
-                const RunHooks& hooks);
-  /// Arena variant: the pinned fleet workers pass their per-worker RunArena
-  /// so scratch capacity is reused across the shards each worker runs.
-  RunResult run(Workload& sub_stream, const RunConfig& plan,
-                const RunHooks& hooks, RunArena* arena);
-
- private:
-  std::size_t index_;
-  Machine machine_;
-};
-
 class FleetRunner {
  public:
-  /// `workload_seed` is the fleet-level seed; how per-shard streams derive
-  /// from it is config.substream's choice.
+  /// `workload_seed` is the fleet-level seed every machine's copy of the
+  /// master stream is built from.
   FleetRunner(FleetConfig config, SeededWorkloadFactory make_workload,
               std::uint64_t workload_seed);
 
   /// Run the fleet. `run` counts the fleet-wide stream: the first
   /// run.warmup master requests are warmup, the next run.requests are
-  /// measured — each shard receives its share of both phases (exact counts
-  /// come from a counting pre-pass over the master stream). `jobs` = worker
-  /// threads for fanning shards (0 = hardware concurrency, 1 = serial);
-  /// results are bit-identical at any job count.
+  /// measured — each machine receives its share of both phases (exact
+  /// counts come from a counting pre-pass over the master stream). `jobs` =
+  /// worker threads for fanning machines (0 = hardware concurrency, 1 =
+  /// serial); results are bit-identical at any job count.
   FleetResult run(const RunConfig& run, unsigned jobs = 0) const;
 
   const FleetConfig& config() const { return config_; }
 
  private:
-  MachineConfig shard_machine(std::size_t shard) const;
-  MachineConfig replica_machine(std::size_t group,
-                                std::size_t machine_id) const;
-  /// The replicated run path: groups * R machines driven by ReplicaWorkload
-  /// filters, per-request client latencies captured through RunHooks and
-  /// composed (quorum join, failover penalty) into the client-facing
-  /// aggregates. Taken iff config.replication.any().
-  FleetResult run_replicated(const RunConfig& run, unsigned jobs) const;
+  MachineConfig machine_config(std::size_t machine_id) const;
 
   FleetConfig config_;
   SeededWorkloadFactory make_workload_;

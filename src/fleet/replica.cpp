@@ -1,5 +1,6 @@
 #include "fleet/replica.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/assert.h"
@@ -36,6 +37,10 @@ const char* to_string(ReplicaRole role) {
       return "write";
     case ReplicaRole::kCatchupWrite:
       return "catchup-write";
+    case ReplicaRole::kReject:
+      return "reject";
+    case ReplicaRole::kDefer:
+      return "defer";
   }
   PIPETTE_ASSERT_MSG(false, "unknown ReplicaRole");
   return "?";  // unreachable: the assert above aborts
@@ -55,9 +60,16 @@ ReplicaRouter::ReplicaRouter(const ReplicationConfig& repl,
   for (std::size_t g = 0; g < groups(); ++g) {
     for (std::size_t r = 0; r < repl_.replicas; ++r) {
       const ShardOutage* o = faults_.outage_for(g, r);
-      if (o != nullptr && o->active()) state_[machine_id(g, r)].outage = o;
+      if (o == nullptr || !o->active()) continue;
+      state_[machine_id(g, r)].outage = o;
+      rejoins_.push_back(machine_id(g, r));
     }
   }
+  std::stable_sort(rejoins_.begin(), rejoins_.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return state_[a].outage->recover_at <
+                            state_[b].outage->recover_at;
+                   });
   up_scratch_.reserve(repl_.replicas);
 }
 
@@ -125,11 +137,10 @@ void ReplicaRouter::emit_group_write(std::size_t group, std::uint64_t index,
 
 void ReplicaRouter::process_rejoins(std::uint64_t index,
                                     std::vector<ReplicaAssignment>& out) {
-  for (std::uint32_t m = 0; m < state_.size(); ++m) {
+  for (; next_rejoin_ < rejoins_.size(); ++next_rejoin_) {
+    const std::uint32_t m = rejoins_[next_rejoin_];
     MachineState& ms = state_[m];
-    if (ms.outage == nullptr || ms.rejoined || index < ms.outage->recover_at)
-      continue;
-    ms.rejoined = true;
+    if (index < ms.outage->recover_at) return;
     // The recovered copy replays every write it missed (right after its
     // cold restart, before any client read can land on it), which is what
     // keeps the stale-read count structurally zero.
@@ -147,34 +158,32 @@ void ReplicaRouter::serve_read(std::size_t group, std::uint64_t index,
                                std::vector<ReplicaAssignment>& out) {
   const std::uint32_t primary = machine_id(group, 0);
   const bool primary_down = down(primary, index);
-  if (measured && primary_down) ++counters_.down_requests;
+  if (measured && primary_down) {
+    ++counters_.down_requests;
+    ++state_[primary].down_reads;
+  }
 
   // Fallback when the policy finds no server in the owning group: the
-  // fleet's DownShardPolicy decides, mirroring the replica-free semantics —
-  // kReroute serves on the next group with an up copy (charged like a
-  // failover), the other policies leave the read unserved (kRetryBackoff
-  // additionally burning its client backoff ladder).
+  // fleet's DownShardPolicy decides (see the file comment). A reroute is a
+  // plain serve on the ring target; a turned-away read goes to the primary
+  // without the stale-read check, since it reads nothing now — a deferral
+  // only runs after the primary's rejoin has caught it up.
   auto fallback = [&] {
     if (faults_.policy == DownShardPolicy::kReroute) {
       for (std::size_t d = 1; d < groups(); ++d) {
         const std::size_t g2 = (group + d) % groups();
         up_replicas(g2, index);
         if (up_scratch_.empty()) continue;
-        emit_read(up_scratch_.front(), ReplicaRole::kFailoverServe, index, req,
-                  out);
-        if (measured) {
-          ++counters_.failover_reads;
-          ++counters_.client_retries;
-          counters_.client_read_bytes += req.len;
-        }
+        emit_read(up_scratch_.front(), ReplicaRole::kServe, index, req, out);
+        if (measured) ++counters_.failover_reads;
         return;
       }
     }
-    if (measured) {
-      ++counters_.unserved_reads;
-      if (faults_.policy == DownShardPolicy::kRetryBackoff)
-        counters_.client_retries += faults_.retry_attempts;
-    }
+    const ReplicaRole role = faults_.policy == DownShardPolicy::kRetryBackoff
+                                 ? ReplicaRole::kDefer
+                                 : ReplicaRole::kReject;
+    out.push_back({primary, role, index, req});
+    if (measured) ++counters_.unserved_reads;
   };
 
   // Standby shadow reads: each up standby that is not serving this read
@@ -193,7 +202,6 @@ void ReplicaRouter::serve_read(std::size_t group, std::uint64_t index,
     case ReadPolicy::kPrimaryOnly: {
       if (!primary_down) {
         emit_read(primary, ReplicaRole::kServe, index, req, out);
-        if (measured) counters_.client_read_bytes += req.len;
       } else {
         fallback();  // standbys may be up, but primary-only never asks them
       }
@@ -203,7 +211,6 @@ void ReplicaRouter::serve_read(std::size_t group, std::uint64_t index,
     case ReadPolicy::kFailover: {
       if (!primary_down) {
         emit_read(primary, ReplicaRole::kServe, index, req, out);
-        if (measured) counters_.client_read_bytes += req.len;
         shadow_standbys(/*serving=*/primary);
         return;
       }
@@ -217,7 +224,6 @@ void ReplicaRouter::serve_read(std::size_t group, std::uint64_t index,
       if (measured) {
         ++counters_.failover_reads;
         ++counters_.client_retries;  // the client re-issued after the error
-        counters_.client_read_bytes += req.len;
       }
       shadow_standbys(/*serving=*/standby);
       return;
@@ -234,7 +240,6 @@ void ReplicaRouter::serve_read(std::size_t group, std::uint64_t index,
         ++counters_.quorum_reads;
         counters_.quorum_fanout += up_scratch_.size();
         if (up_scratch_.size() < repl_.quorum_k) ++counters_.quorum_shortfall;
-        counters_.client_read_bytes += req.len;
       }
       return;
     }
@@ -256,7 +261,6 @@ void ReplicaRouter::route(std::uint64_t index, const Request& req,
       in_range && counters_.cut_over ? mig.target : base;
 
   if (req.is_write) {
-    if (measured) counters_.client_write_bytes += req.len;
     emit_group_write(owner, index, req, out);
     if (dual && mig.target != base) {
       // Dual window: in-range writes land on both groups so the target is

@@ -6,15 +6,15 @@
 // file set (replication here is a traffic/availability model layered on the
 // partitioned master stream, not a data-placement simulator), so what
 // distinguishes the copies is the history each one serves — which is exactly
-// what the ReplicaRouter decides.
+// what the ReplicaRouter decides. An unreplicated fleet is simply R=1.
 //
-// The router is the replica-world analogue of effective_shard(): a pure
-// deterministic state machine over the master stream. The counting pre-pass
-// and every machine's stream filter (ReplicaWorkload) instantiate their own
-// router from the same (config, faults, seed) and feed it the same master
-// requests in the same order, so they agree on every assignment without
-// sharing any state — that is what keeps jobs-1 == jobs-N bit-identical
-// under failover, quorum fan-out, shadow reads, and mid-run migration.
+// The router is a pure deterministic state machine over the master stream.
+// The counting pre-pass and every machine's stream filter (ReplicaWorkload)
+// instantiate their own router from the same (config, faults, seed) and
+// feed it the same master requests in the same order, so they agree on
+// every assignment without sharing any state — that is what keeps jobs-1 ==
+// jobs-N bit-identical under outages, failover, quorum fan-out, shadow
+// reads, and mid-run migration.
 //
 // Read policies:
 //  * kPrimaryOnly — the primary serves or nobody does; standbys only absorb
@@ -25,6 +25,13 @@
 //  * kQuorum     — every up replica serves and the client completes on the
 //    k-th fastest response (first-k-of-R), so a replica loss costs no
 //    detection stall at all.
+//
+// When a read policy finds no copy of the owning group to serve, the
+// fleet's DownShardPolicy decides: kReroute serves the read as a plain
+// kServe on the next group in ring order with an up copy (a routing drain:
+// no client retry, no detection penalty); otherwise — or when the whole
+// fleet is down — the primary turns it away as kReject (fail-fast) or
+// kDefer (parked and replayed after its recovery, retry-backoff).
 //
 // Staleness: a down replica misses the writes replicated to its group. The
 // router buffers them and replays each one as a catch-up write at the
@@ -74,9 +81,8 @@ struct MigrationPlan {
 };
 
 struct ReplicationConfig {
-  /// Copies per group. 1 with kPrimaryOnly and no shadow/migration is the
-  /// degenerate config: FleetRunner takes the legacy replica-free path,
-  /// bit-identical to the pre-replica fleet (golden-pinned).
+  /// Copies per group. The default — 1 with kPrimaryOnly and no
+  /// shadow/migration — is the plain sharded fleet (golden-pinned).
   std::size_t replicas = 1;
   ReadPolicy read_policy = ReadPolicy::kPrimaryOnly;
   /// kQuorum completion threshold (clamped to the up-replica count when the
@@ -87,26 +93,21 @@ struct ReplicationConfig {
   /// caches warm so failover lands on a warm machine instead of a cold one.
   double shadow_read_fraction = 0.0;
   MigrationPlan migration;
-
-  /// True iff any replica machinery is needed; false routes FleetRunner to
-  /// the legacy single-copy path.
-  bool any() const {
-    return replicas > 1 || read_policy != ReadPolicy::kPrimaryOnly ||
-           shadow_read_fraction > 0.0 || migration.active();
-  }
 };
 
 /// Why a machine sees a request. Client-visible latency comes only from the
-/// three serve roles; shadow/warm/catch-up work is device load, not client
-/// traffic.
+/// three serve roles and replayed deferrals; shadow/warm/catch-up work is
+/// device load, not client traffic.
 enum class ReplicaRole : std::uint8_t {
-  kServe,          // authoritative read: its latency is the client's
-  kFailoverServe,  // standby (or reroute target) serving for a down copy
+  kServe,          // authoritative read or reroute: the client's latency
+  kFailoverServe,  // standby serving for a down primary
   kQuorumServe,    // one leg of a quorum fan-out
   kShadowRead,     // standby cache-warming read (invisible to the client)
   kWarmRead,       // migration-target warming read during the dual window
   kWrite,          // replicated write
   kCatchupWrite,   // write missed during an outage, replayed at rejoin
+  kReject,         // read nobody can serve, refused fail-fast by the primary
+  kDefer,          // read nobody can serve, parked on the primary for replay
 };
 
 const char* to_string(ReplicaRole role);
@@ -126,8 +127,8 @@ struct ReplicaAssignment {
 /// the warmup boundary falls.
 struct ReplicaCounters {
   std::uint64_t client_reads = 0;     // measured client reads (attempted)
-  std::uint64_t unserved_reads = 0;   // no up copy anywhere to serve them
-  std::uint64_t client_retries = 0;   // failover re-issues + backoff ladders
+  std::uint64_t unserved_reads = 0;   // no up copy to take them: kReject/kDefer
+  std::uint64_t client_retries = 0;   // failover re-issues
   std::uint64_t down_requests = 0;    // reads whose preferred copy was down
   std::uint64_t failover_reads = 0;   // served by a standby/reroute target
   std::uint64_t shadow_reads = 0;
@@ -136,8 +137,6 @@ struct ReplicaCounters {
   std::uint64_t quorum_shortfall = 0; // quorum reads with fewer than k legs
   std::uint64_t stale_reads = 0;      // reads routed to a dirty replica (== 0)
   std::uint64_t catchup_writes = 0;   // whole run
-  std::uint64_t client_write_bytes = 0;
-  std::uint64_t client_read_bytes = 0;  // bytes of measured served reads
   // Migration progress (whole run).
   std::uint64_t dual_reads = 0;
   std::uint64_t warm_reads_done = 0;  // warm legs issued to target replicas
@@ -172,11 +171,16 @@ class ReplicaRouter {
   /// Writes still parked for replicas whose recovery never arrived (call
   /// after the full stream has been routed): lost writes.
   std::uint64_t pending_catchup_writes() const;
+  /// Measured reads whose preferred copy was `machine` while it was down
+  /// (counters().down_requests split by primary).
+  std::uint64_t down_requests(std::uint32_t machine) const {
+    return state_[machine].down_reads;
+  }
 
  private:
   struct MachineState {
     const ShardOutage* outage = nullptr;  // null or inactive: never down
-    bool rejoined = false;
+    std::uint64_t down_reads = 0;
     std::vector<Request> missed_writes;   // buffered while down
     // Dirty key ranges (global byte key, len): written while this copy was
     // down and not yet caught up. Routing a read here would be stale.
@@ -205,14 +209,17 @@ class ReplicaRouter {
   std::uint64_t warmup_;
   std::uint64_t shadow_seed_;
   std::vector<MachineState> state_;       // one per machine
+  // Machines with an outage, in (recover_at, id) order; the ones before
+  // next_rejoin_ have rejoined. Keeps route() O(1) in the machine count.
+  std::vector<std::uint32_t> rejoins_;
+  std::size_t next_rejoin_ = 0;
   std::vector<std::uint32_t> up_scratch_; // up_replicas() result
   ReplicaCounters counters_;
 };
 
-/// The sub-stream of the master workload that lands on one machine of a
-/// replicated fleet: replays the master stream through a private
-/// ReplicaRouter and yields this machine's assignments in order. The
-/// replica-world ShardWorkload.
+/// The sub-stream of the master workload that lands on one machine of the
+/// fleet: replays the master stream through a private ReplicaRouter and
+/// yields this machine's assignments in order.
 class ReplicaWorkload : public Workload {
  public:
   ReplicaWorkload(std::unique_ptr<Workload> master,

@@ -41,16 +41,12 @@ class ReadPathBase : public IoBackend {
     return stats_.read_latency.mean_ns();
   }
 
-  /// Refuse a request without touching the device (fleet fail-fast when the
-  /// owning shard is down): charges `latency` of host time and counts a
-  /// failed read/write. Successful-read statistics are untouched.
-  void reject_request(bool is_write, SimDuration latency) {
+  /// Refuse a read without touching the device (a fleet kReject when no
+  /// copy can serve it): charges `latency` of host time and counts a failed
+  /// read. Successful-read statistics are untouched.
+  void reject_read(SimDuration latency) {
     sim_.advance(latency);
-    if (is_write) {
-      ++stats_.failed_writes;
-    } else {
-      ++stats_.failed_reads;
-    }
+    ++stats_.failed_reads;
   }
 
  protected:

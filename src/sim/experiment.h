@@ -147,10 +147,10 @@ struct RunHooks {
 };
 
 /// The same warmup + measurement flow on a caller-owned machine. This is
-/// what the fleet layer drives: each Shard owns its Machine (and with it a
-/// private Simulator) and pushes its sub-stream through it. The machine is
-/// expected to be freshly built for `workload.files()`; reusing a machine
-/// across runs measures the second run against pre-warmed caches.
+/// what the fleet layer drives: each fleet machine is its own Machine (and
+/// with it a private Simulator) and pushes its sub-stream through it. The
+/// machine is expected to be freshly built for `workload.files()`; reusing
+/// a machine across runs measures the second run against pre-warmed caches.
 RunResult run_experiment_on(Machine& machine, Workload& workload,
                             const RunConfig& run);
 

@@ -12,6 +12,7 @@
 
 #include "common/inline_function.h"
 #include "fleet/fleet.h"
+#include "fleet/replica.h"
 #include "nand/nand.h"
 #include "sim/experiment.h"
 #include "workload/synthetic.h"
@@ -380,24 +381,52 @@ TEST(FleetFaults, ZeroRequestRunMergesClean) {
   EXPECT_EQ(r.mean_latency_us, 0.0);
 }
 
-// --- effective_shard() -------------------------------------------------
+// --- Reroute ring (ReplicaRouter at R=1) --------------------------------
 
-// The pre-pass and every shard's stream filter call effective_shard() and
-// must agree bit-for-bit; these pin its routing table directly.
+// Routes one read whose key `owner` owns (range partitioner, middle of the
+// owner's slice) through a fresh R=1 router at master index `index`, and
+// returns the single assignment it makes. A read-only probe leaves no
+// router state behind, so one fresh router per probe is exact.
+ReplicaAssignment route_read(const FleetFaultPlan& faults, std::size_t shards,
+                             std::size_t owner, std::uint64_t index) {
+  SyntheticWorkload w(small_synth('C'));
+  const Partitioner part(PartitionScheme::kRange, shards, w.files());
+  Request req = w.next();
+  req.is_write = false;
+  req.file_index = 0;
+  req.offset = part.keyspace() * (2 * owner + 1) / (2 * shards);
+  EXPECT_EQ(part.shard_of(req), owner);
+  ReplicaRouter router(ReplicationConfig{}, faults, part, /*seed=*/42,
+                       /*warmup=*/0);
+  std::vector<ReplicaAssignment> out;
+  router.route(index, req, out);
+  EXPECT_EQ(out.size(), 1u);
+  return out.empty() ? ReplicaAssignment{} : out.front();
+}
+
+std::uint32_t reroute_target(const FleetFaultPlan& faults, std::size_t shards,
+                             std::size_t owner, std::uint64_t index) {
+  const ReplicaAssignment a = route_read(faults, shards, owner, index);
+  EXPECT_EQ(a.role, ReplicaRole::kServe);
+  return a.machine;
+}
+
+// The pre-pass and every machine's stream filter route through identical
+// routers and must agree bit-for-bit; these pin the R=1 reroute table.
 TEST(EffectiveShard, RingOrderSkipsDownShardsUnderReroute) {
   FleetFaultPlan faults;
   faults.policy = DownShardPolicy::kReroute;
   faults.outages = {{/*shard=*/1, /*fail_at=*/100, /*recover_at=*/200},
                     {/*shard=*/2, /*fail_at=*/100, /*recover_at=*/200}};
   // Outside the window: everyone serves their own keys.
-  EXPECT_EQ(effective_shard(faults, 5, 1, 99), 1u);
-  EXPECT_EQ(effective_shard(faults, 5, 1, 200), 1u);
+  EXPECT_EQ(reroute_target(faults, 5, 1, 99), 1u);
+  EXPECT_EQ(reroute_target(faults, 5, 1, 200), 1u);
   // Inside: shard 1's traffic skips the also-down shard 2 and lands on 3.
-  EXPECT_EQ(effective_shard(faults, 5, 1, 100), 3u);
-  EXPECT_EQ(effective_shard(faults, 5, 2, 150), 3u);
+  EXPECT_EQ(reroute_target(faults, 5, 1, 100), 3u);
+  EXPECT_EQ(reroute_target(faults, 5, 2, 150), 3u);
   // Up shards keep their own traffic regardless of the window.
-  EXPECT_EQ(effective_shard(faults, 5, 0, 150), 0u);
-  EXPECT_EQ(effective_shard(faults, 5, 4, 150), 4u);
+  EXPECT_EQ(reroute_target(faults, 5, 0, 150), 0u);
+  EXPECT_EQ(reroute_target(faults, 5, 4, 150), 4u);
 }
 
 TEST(EffectiveShard, WrapsTheRingAndHandlesWholeFleetDown) {
@@ -406,11 +435,13 @@ TEST(EffectiveShard, WrapsTheRingAndHandlesWholeFleetDown) {
   faults.outages = {{/*shard=*/2, /*fail_at=*/0, /*recover_at=*/100},
                     {/*shard=*/0, /*fail_at=*/0, /*recover_at=*/100}};
   // Shard 2's ring walk wraps past the down shard 0 to reach shard 1.
-  EXPECT_EQ(effective_shard(faults, 3, 2, 50), 1u);
-  // Whole fleet down: the owner keeps the request (the runner's fail-fast
-  // guard then rejects it rather than silently serving it).
+  EXPECT_EQ(reroute_target(faults, 3, 2, 50), 1u);
+  // Whole fleet down: nobody can take the read, so the owner rejects it
+  // rather than silently serving it.
   faults.outages.push_back({/*shard=*/1, /*fail_at=*/0, /*recover_at=*/100});
-  EXPECT_EQ(effective_shard(faults, 3, 2, 50), 2u);
+  const ReplicaAssignment a = route_read(faults, 3, 2, 50);
+  EXPECT_EQ(a.machine, 2u);
+  EXPECT_EQ(a.role, ReplicaRole::kReject);
 }
 
 TEST(EffectiveShard, NonRerouteMakesItTheIdentity) {
@@ -419,7 +450,11 @@ TEST(EffectiveShard, NonRerouteMakesItTheIdentity) {
     FleetFaultPlan faults;
     faults.policy = policy;
     faults.outages = {{/*shard=*/1, /*fail_at=*/0, /*recover_at=*/100}};
-    EXPECT_EQ(effective_shard(faults, 4, 1, 50), 1u)
+    const ReplicaAssignment a = route_read(faults, 4, 1, 50);
+    EXPECT_EQ(a.machine, 1u) << to_string(policy);
+    EXPECT_EQ(a.role, policy == DownShardPolicy::kFailFast
+                          ? ReplicaRole::kReject
+                          : ReplicaRole::kDefer)
         << to_string(policy);
   }
 }
@@ -447,8 +482,8 @@ TEST(FleetFaults, AllShardsDownWindowFailsFastAndMergesClean) {
   EXPECT_TRUE(deterministic_equal(serial, parallel));
 }
 
-// Reroute with nowhere to go: effective_shard() returns the owner, and the
-// runner's guard rejects the request fail-fast instead of letting the down
+// Reroute with nowhere to go: the router finds no ring target and the
+// owner rejects the read fail-fast (kReject) instead of letting the down
 // shard serve it into a healthy-looking histogram.
 TEST(FleetFaults, RerouteWithNowhereToGoFailsInsteadOfServing) {
   FleetConfig fleet = faulty_fleet(3, PathKind::kBlockIo);
@@ -488,8 +523,8 @@ TEST(FleetFaults, WholeFleetDownWholeRunMergesToZeros) {
 
 // Reroute composed with a range partitioner and a non-divisor shard count:
 // the hot low-key slice belongs to shard 0; while it is down the ring
-// sends its traffic to shard 1, and the pre-pass (which sizes phases by
-// effective_shard()) agrees with the filters at any job count.
+// sends its traffic to shard 1, and the pre-pass (which sizes phases with
+// the same router) agrees with the filters at any job count.
 TEST(FleetFaults, RerouteWithRangePartitionerAndNonDivisorShards) {
   FleetConfig fleet = faulty_fleet(5, PathKind::kBlockIo);
   fleet.partition = PartitionScheme::kRange;

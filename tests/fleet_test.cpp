@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "fleet/fleet.h"
-#include "fleet/shard_workload.h"
+#include "fleet/replica.h"
 #include "workload/synthetic.h"
 
 namespace pipette {
@@ -115,8 +115,8 @@ TEST(Fleet, ShardCountPreservesFleetTotals) {
 }
 
 // The sub-stream contract, checked against a by-hand filter of the master
-// stream: shard s's workload yields exactly the master requests whose key
-// maps to s, in master order.
+// stream: at R=1, machine s's workload yields exactly the master requests
+// whose key maps to s, in master order, each tagged with its master index.
 TEST(ShardWorkloadTest, FiltersTheMasterStreamInOrder) {
   constexpr std::size_t kShards = 3;
   constexpr int kDraws = 4000;
@@ -126,13 +126,18 @@ TEST(ShardWorkloadTest, FiltersTheMasterStreamInOrder) {
   SyntheticWorkload master(sc);
   const Partitioner part(PartitionScheme::kHash, kShards, master.files());
   std::vector<std::vector<Request>> expected(kShards);
+  std::vector<std::vector<std::uint64_t>> expected_index(kShards);
   for (int i = 0; i < kDraws; ++i) {
     const Request req = master.next();
     expected[part.shard_of(req)].push_back(req);
+    expected_index[part.shard_of(req)].push_back(i);
   }
 
   for (std::size_t s = 0; s < kShards; ++s) {
-    ShardWorkload sub(std::make_unique<SyntheticWorkload>(sc), part, s);
+    ReplicaWorkload sub(std::make_unique<SyntheticWorkload>(sc),
+                        ReplicationConfig{}, FleetFaultPlan{}, part,
+                        static_cast<std::uint32_t>(s), /*seed=*/7,
+                        /*warmup=*/0);
     for (std::size_t i = 0; i < expected[s].size(); ++i) {
       const Request got = sub.next();
       const Request& want = expected[s][i];
@@ -140,8 +145,10 @@ TEST(ShardWorkloadTest, FiltersTheMasterStreamInOrder) {
       ASSERT_EQ(got.offset, want.offset) << "shard " << s << " draw " << i;
       ASSERT_EQ(got.len, want.len);
       ASSERT_EQ(got.is_write, want.is_write);
+      ASSERT_EQ(sub.last().index, expected_index[s][i]) << "shard " << s;
+      ASSERT_EQ(sub.last().machine, s);
+      ASSERT_EQ(sub.last().role, ReplicaRole::kServe);
     }
-    EXPECT_LE(sub.master_consumed(), static_cast<std::uint64_t>(kDraws));
   }
 }
 
@@ -210,26 +217,6 @@ TEST(Fleet, PerShardMachineOverrides) {
   EXPECT_EQ(r.shard_results[2].path_name, "Pipette");
   EXPECT_GT(r.shard_results[0].fgrc_hit_ratio, 0.0);
   EXPECT_EQ(r.shard_results[1].fgrc_hit_ratio, 0.0);
-}
-
-// kIndependent mode: every replica runs the full request count on its own
-// split-seeded stream — streams differ across shards but the whole fleet
-// result is still a pure function of the fleet seed.
-TEST(Fleet, IndependentModeRunsDistinctFullStreams) {
-  FleetConfig fleet = small_fleet(3, PathKind::kBlockIo);
-  fleet.substream = SubstreamMode::kIndependent;
-  FleetRunner runner(fleet, synth_factory('C', Distribution::kUniform), 42);
-  const RunConfig rc{1000, 400};
-  const FleetResult a = runner.run(rc, /*jobs=*/1);
-  for (const RunResult& shard : a.shard_results)
-    EXPECT_EQ(shard.requests, rc.requests);
-  EXPECT_EQ(a.requests, rc.requests * 3);
-  // Workload 'C' mixes request sizes at random, so distinct streams draw
-  // distinct byte totals.
-  EXPECT_NE(a.shard_results[0].bytes_requested,
-            a.shard_results[1].bytes_requested);
-  const FleetResult b = runner.run(rc, /*jobs=*/3);
-  EXPECT_TRUE(deterministic_equal(a, b));
 }
 
 }  // namespace

@@ -170,6 +170,15 @@ struct SlabGeometry {
   std::vector<std::uint32_t> class_sizes;
 };
 
+// Without this gtest prints the raw bytes of the struct, heap pointer
+// included, and ctest's discovered case names change from build to build.
+void PrintTo(const SlabGeometry& g, std::ostream* os) {
+  *os << "slab=" << g.slab_size << " classes=";
+  for (std::size_t i = 0; i < g.class_sizes.size(); ++i) {
+    *os << (i == 0 ? "" : ",") << g.class_sizes[i];
+  }
+}
+
 class SlabStress : public ::testing::TestWithParam<SlabGeometry> {};
 
 TEST_P(SlabStress, RandomOpsPreserveInvariants) {

@@ -1,8 +1,8 @@
-// Tests for the replica/rebalancing layer: degenerate-config identity with
-// the legacy fleet, jobs-1 == jobs-N under failover, policy semantics
-// (primary-only cliff, warm-standby failover, quorum first-k-of-R), shadow
-// reads, catch-up writes + the stale-read == 0 invariant, and live
-// resharding with dual-read cutover.
+// Tests for the replica/rebalancing layer: R=1 read-policy identity with
+// the plain sharded fleet, jobs-1 == jobs-N under failover, policy semantics
+// (primary-only cliff, warm-standby failover, quorum first-k-of-R), the
+// down-shard policies at R=2, shadow reads, catch-up writes + the
+// stale-read == 0 invariant, and live resharding with dual-read cutover.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -43,11 +43,10 @@ std::uint64_t metric(const FleetResult& r, const char* name) {
   return r.metrics.value(name);
 }
 
-// R=1 kFailover with no faults routes through the replica machinery but
-// must reproduce the legacy single-copy fleet exactly: same per-machine
-// simulations, same composed aggregates. (The fully degenerate config —
-// R=1 kPrimaryOnly — takes the legacy code path itself and is pinned by the
-// golden fleet fixture; this test pins the replica path against it.)
+// With one copy per group and no faults, kFailover has nothing to fail over
+// to, so it must reproduce the plain sharded fleet (R=1 kPrimaryOnly,
+// pinned by the golden fleet fixture) exactly: same per-machine
+// simulations, same composed aggregates.
 TEST(Replica, DegenerateReplicaPathMatchesLegacyFleet) {
   const RunConfig rc{1200, 600};
   FleetConfig legacy_cfg = replica_fleet(3, 1, ReadPolicy::kPrimaryOnly);
@@ -171,6 +170,51 @@ TEST(Replica, JobsOneEqualsJobsFourUnderFailoverAndQuorum) {
     const FleetResult parallel = runner.run({1200, 600}, /*jobs=*/4);
     EXPECT_TRUE(deterministic_equal(serial, parallel))
         << "policy " << to_string(policy);
+  }
+}
+
+// One engine at every R: the down-shard policies keep their R=1 meaning
+// when a whole replica group goes dark. Both copies of group 0 are down for
+// a window under a 10% write mix; writes buffer on the down copies and
+// catch up at rejoin, so no read is ever stale and no write is lost.
+TEST(Replica, DownShardPoliciesHoldAtEveryReplicationFactor) {
+  const RunConfig rc{1200, 600};  // measured master indices [600, 1800)
+  for (DownShardPolicy policy :
+       {DownShardPolicy::kFailFast, DownShardPolicy::kRetryBackoff,
+        DownShardPolicy::kReroute}) {
+    SCOPED_TRACE(to_string(policy));
+    FleetConfig fleet = replica_fleet(3, 2, ReadPolicy::kFailover);
+    fleet.faults.policy = policy;
+    fleet.faults.outages = {
+        {/*shard=*/0, /*fail_at=*/900, /*recover_at=*/1300, /*replica=*/0},
+        {/*shard=*/0, /*fail_at=*/900, /*recover_at=*/1300, /*replica=*/1}};
+    FleetRunner runner(fleet, synth_factory('C', Distribution::kZipf, 0.1),
+                       kSeed);
+    const FleetResult r = runner.run(rc, /*jobs=*/1);
+
+    EXPECT_GT(r.down_requests, 0u);
+    if (policy == DownShardPolicy::kFailFast) {
+      // Every read of the dark group is rejected, and by its primary.
+      EXPECT_EQ(r.failed_reads, r.down_requests);
+      EXPECT_EQ(r.shard_results[0].failed_reads, r.down_requests);
+      EXPECT_EQ(r.shard_results[0].down_requests, r.down_requests);
+      for (std::size_t m = 1; m < r.shard_results.size(); ++m)
+        EXPECT_EQ(r.shard_results[m].failed_reads, 0u) << "machine " << m;
+    } else if (policy == DownShardPolicy::kRetryBackoff) {
+      // Recovery lands inside the run: every parked read replays, each
+      // charged its client's full backoff ladder.
+      EXPECT_EQ(r.failed_reads, 0u);
+      EXPECT_EQ(r.retries, r.down_requests * fleet.faults.retry_attempts);
+    } else {
+      // A reroute is a routing drain: served elsewhere, no detection stall.
+      EXPECT_EQ(r.failed_reads, 0u);
+      EXPECT_EQ(metric(r, "fleet.replica_failover_penalty_ns"), 0u);
+      EXPECT_GT(metric(r, "fleet.replica_failover_reads"), 0u);
+    }
+    EXPECT_GT(metric(r, "fleet.replica_catchup_writes"), 0u);
+    EXPECT_EQ(metric(r, "fleet.replica_stale_reads"), 0u);
+    EXPECT_EQ(metric(r, "fleet.replica_lost_writes"), 0u);
+    EXPECT_TRUE(deterministic_equal(r, runner.run(rc, /*jobs=*/4)));
   }
 }
 
