@@ -30,38 +30,31 @@ Ftl::Ftl(const NandGeometry& geometry, std::uint64_t lba_count,
       pages_per_block_(geometry.pages_per_block),
       blocks_per_die_(pages_per_die_ / geometry.pages_per_block),
       mus_per_block_(pages_per_block_ * spp_) {
-  PIPETTE_ASSERT(geometry_.page_size == kBlockSize);
-  PIPETTE_ASSERT(pages_per_die_ % pages_per_block_ == 0);
+  PIPETTE_ASSERT_MSG(geometry_.page_size == kBlockSize,
+                     "NAND page size must equal the 4 KiB logical block");
+  PIPETTE_ASSERT_MSG(pages_per_die_ % pages_per_block_ == 0,
+                     "pages per die must be a whole number of blocks");
   PIPETTE_ASSERT_MSG(mu_size_ >= 512 && mu_size_ <= geometry_.page_size &&
                          geometry_.page_size % mu_size_ == 0,
                      "mapping unit must be in [512, page] and divide the page");
+  // Follows from page = 4 KiB and MU >= 512; lookup_pages' 8-entry dedup
+  // and the 32-bit slot masks rely on it.
+  PIPETTE_ASSERT_MSG(spp_ <= 8, "at most 8 mapping units per page");
   const std::uint64_t total_pages = geometry.total_pages();
   PIPETTE_ASSERT_MSG(lba_count <= total_pages - total_pages / 8,
                      "need >= 12.5% spare pages for write allocation");
 
-  map_.resize(lba_count * spp_);
-  reverse_.assign(total_pages * spp_, kInvalidMu);
+  // Both maps start as untouched zero pages, i.e. entirely "as striped";
+  // map_get/rmap_get derive those entries from the stripe formula.
+  map_ = ZeroedArray<std::uint64_t>(lba_count * spp_);
+  reverse_ = ZeroedArray<std::uint64_t>(total_pages * spp_);
   blocks_.resize(geometry.dies() * blocks_per_die_);
   free_blocks_.resize(geometry.dies());
   active_block_.assign(geometry.dies(), ~0ull);
   die_erases_.assign(geometry.dies(), 0);
 
-  // Initial striping: LBA i lives on channel (i % C), way ((i / C) % W),
-  // die-local page (i / (C*W)); all of its MUs start in that page's slots.
-  // Linear page index is die-major.
   const std::uint64_t c = geometry_.channels;
   const std::uint64_t w = geometry_.ways_per_channel;
-  for (std::uint64_t i = 0; i < lba_count; ++i) {
-    const std::uint64_t channel = i % c;
-    const std::uint64_t way = (i / c) % w;
-    const std::uint64_t page = i / (c * w);
-    const std::uint64_t die = channel * w + way;
-    const std::uint64_t linear = die * pages_per_die_ + page;
-    for (std::uint32_t k = 0; k < spp_; ++k) {
-      map_[i * spp_ + k] = linear * spp_ + k;
-      reverse_[linear * spp_ + k] = i * spp_ + k;
-    }
-  }
   // Block bookkeeping for the initially-used region; everything beyond is
   // free.
   for (std::uint64_t die = 0; die < geometry.dies(); ++die) {
@@ -98,6 +91,31 @@ Ftl::Ftl(const NandGeometry& geometry, std::uint64_t lba_count,
   }
 }
 
+// Initial striping: LBA i lives on channel (i % C), way ((i / C) % W),
+// die-local page (i / (C*W)) = ((i / C) / W); all of its MUs start in that
+// page's slots. Linear page index is die-major.
+std::uint64_t Ftl::map_get(Lba lba, std::uint32_t slot) const {
+  const std::uint64_t stored = map_[lba * spp_ + slot];
+  if (stored != 0) return stored - 2;
+  const std::uint64_t w = geometry_.ways_per_channel;
+  const std::uint64_t q = lba / geometry_.channels;
+  const std::uint64_t die = (lba % geometry_.channels) * w + q % w;
+  return (die * pages_per_die_ + q / w) * spp_ + slot;
+}
+
+// Inverse of the striping: die-local page p of die (channel, way) holds
+// LBA p * C*W + way * C + channel, if that LBA exists.
+std::uint64_t Ftl::rmap_get(std::uint64_t page, std::uint32_t slot) const {
+  const std::uint64_t stored = reverse_[page * spp_ + slot];
+  if (stored != 0) return stored - 2;
+  const std::uint64_t c = geometry_.channels;
+  const std::uint64_t w = geometry_.ways_per_channel;
+  const std::uint64_t die = page / pages_per_die_;
+  const std::uint64_t lba =
+      (page % pages_per_die_) * c * w + (die % w) * c + die / w;
+  return lba < lba_count_ ? lba * spp_ + slot : kInvalidMu;
+}
+
 PhysPageAddr Ftl::decode(std::uint64_t linear) const {
   const std::uint64_t die = linear / pages_per_die_;
   PhysPageAddr addr;
@@ -120,7 +138,7 @@ std::uint64_t Ftl::die_of_linear(std::uint64_t linear) const {
 
 PhysPageAddr Ftl::lookup(Lba lba) const {
   PIPETTE_ASSERT(lba < lba_count_);
-  return decode(map_[lba * spp_] / spp_);
+  return decode(map_get(lba, 0) / spp_);
 }
 
 void Ftl::lookup_pages(Lba lba, std::vector<MuPageRead>& out) const {
@@ -131,7 +149,7 @@ void Ftl::lookup_pages(Lba lba, std::vector<MuPageRead>& out) const {
   std::uint32_t counts[8];
   std::uint32_t n = 0;
   for (std::uint32_t s = 0; s < spp_; ++s) {
-    const std::uint64_t page = map_[lba * spp_ + s] / spp_;
+    const std::uint64_t page = map_get(lba, s) / spp_;
     bool dup = false;
     for (std::uint32_t i = 0; i < n; ++i) {
       if (pages[i] == page) {
@@ -167,7 +185,12 @@ std::uint32_t Ftl::block_valid_mus(std::uint64_t block_id) const {
 
 std::uint64_t Ftl::mu_linear(Lba lba, std::uint32_t slot) const {
   PIPETTE_ASSERT(lba < lba_count_ && slot < spp_);
-  return map_[lba * spp_ + slot];
+  return map_get(lba, slot);
+}
+
+std::uint64_t Ftl::mu_owner(std::uint64_t linear_mu) const {
+  PIPETTE_ASSERT(linear_mu < reverse_.size());
+  return rmap_get(linear_mu / spp_, linear_mu % spp_);
 }
 
 std::uint64_t Ftl::block_of_linear_mu(std::uint64_t linear_mu) const {
@@ -220,13 +243,13 @@ void Ftl::invalidate_mu(std::uint64_t linear_mu) {
       die * blocks_per_die_ + (page % pages_per_die_) / pages_per_block_;
   PIPETTE_ASSERT(blocks_[block].valid > 0);
   --blocks_[block].valid;
-  reverse_[linear_mu] = kInvalidMu;
+  rmap_set(linear_mu, kInvalidMu);
   ++stats_.invalidated_mus;
   // A page stays live while any of its MUs is live; it died with this one
   // if no sibling survives.
   bool any_live = false;
   for (std::uint32_t s = 0; s < spp_ && !any_live; ++s)
-    any_live = reverse_[page * spp_ + s] != kInvalidMu;
+    any_live = rmap_get(page, s) != kInvalidMu;
   if (!any_live) ++stats_.invalidated_pages;
 }
 
@@ -261,20 +284,20 @@ void Ftl::collect(std::uint64_t die) {
     const std::uint64_t page_linear = first_page + p;
     std::uint32_t live = 0;
     for (std::uint32_t s = 0; s < spp_; ++s)
-      if (reverse_[page_linear * spp_ + s] != kInvalidMu) ++live;
+      if (rmap_get(page_linear, s) != kInvalidMu) ++live;
     if (live == 0) continue;
     ++stats_.gc_relocated_pages;
     if (spp_ > 1)
       gc_page_reads_.push_back({decode(page_linear), live * mu_size_});
     for (std::uint32_t s = 0; s < spp_; ++s) {
       const std::uint64_t src = page_linear * spp_ + s;
-      const std::uint64_t owner = reverse_[src];
+      const std::uint64_t owner = rmap_get(page_linear, s);
       if (owner == kInvalidMu) continue;
       const std::uint64_t target = alloc_mu(
           die, /*allow_gc=*/false, spp_ == 1 ? nullptr : &gc_page_programs_);
-      map_[owner] = target;
-      reverse_[target] = owner;
-      reverse_[src] = kInvalidMu;
+      map_set(owner, target);
+      rmap_set(target, owner);
+      rmap_set(src, kInvalidMu);
       if (spp_ == 1)
         pending_moves_.push_back({decode(page_linear), decode(target / spp_)});
       ++stats_.gc_relocated_mus;
@@ -299,7 +322,7 @@ void Ftl::write_slots(Lba lba, std::uint32_t slot_mask) {
   // Invalidate the superseded MUs first: their pages may become GC fodder
   // for the allocations below.
   for (std::uint32_t s = 0; s < spp_; ++s)
-    if (slot_mask & (1u << s)) invalidate_mu(map_[lba * spp_ + s]);
+    if (slot_mask & (1u << s)) invalidate_mu(map_get(lba, s));
 
   // Round-robin die selection spreads write bursts across the array; all
   // MUs of one write append to the same die's merged-write stream.
@@ -309,15 +332,15 @@ void Ftl::write_slots(Lba lba, std::uint32_t slot_mask) {
     if (!(slot_mask & (1u << s))) continue;
     const std::uint64_t target =
         alloc_mu(die, /*allow_gc=*/true, &host_programs_);
-    map_[lba * spp_ + s] = target;
-    reverse_[target] = lba * spp_ + s;
+    map_set(lba * spp_ + s, target);
+    rmap_set(target, lba * spp_ + s);
     ++stats_.mus_written;
   }
 }
 
 PhysPageAddr Ftl::update(Lba lba) {
-  write_slots(lba, spp_ >= 32 ? ~0u : ((1u << spp_) - 1u));
-  return decode(map_[lba * spp_] / spp_);
+  write_slots(lba, (1u << spp_) - 1u);
+  return decode(map_get(lba, 0) / spp_);
 }
 
 std::vector<GcMove> Ftl::take_gc_moves() {

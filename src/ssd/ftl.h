@@ -21,6 +21,16 @@
 // the read->program pairs of take_gc_moves() — the behaviour is bit-for-bit
 // the page-mapped FTL this generalises (golden-pinned).
 //
+// Initial map: construction is O(dies x blocks), not O(device pages). The
+// forward map (logical MU -> linear MU) and the reverse map (linear MU ->
+// owning logical MU) are flat per-MU arrays in freshly mapped zero pages
+// (ZeroedArray), and a stored 0 means "never touched: still as striped" —
+// the accessors then derive the entry from the stripe formula (forward) or
+// its inverse (reverse; kInvalidMu past lba_count). Any other stored value
+// is the absolute address plus 2, so an invalidated reverse entry is stored
+// as 1.
+// Entries materialize on the first write or GC relocation that moves them.
+//
 // Per-die wear: every erase bumps that die's erase counter (surfaced via
 // erase_count() and the FtlStats wear fields) and is queued for the
 // controller to forward to NandArray::note_erase(), which drives the
@@ -30,6 +40,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/zeroed_array.h"
 #include "nand/nand.h"
 #include "ssd/types.h"
 
@@ -144,6 +155,9 @@ class Ftl {
   std::uint32_t block_valid_mus(std::uint64_t block_id) const;
   /// Linear MU address currently mapped for (lba, slot).
   std::uint64_t mu_linear(Lba lba, std::uint32_t slot) const;
+  /// Logical MU id (lba * slots_per_page + slot) stored at linear MU
+  /// address `linear_mu`, or ~0 if that MU holds no live data.
+  std::uint64_t mu_owner(std::uint64_t linear_mu) const;
   /// Global block id containing linear MU address `linear_mu`.
   std::uint64_t block_of_linear_mu(std::uint64_t linear_mu) const;
 
@@ -154,6 +168,16 @@ class Ftl {
     std::uint32_t next_slot = 0;   // MUs written so far
     std::uint32_t valid = 0;       // still-mapped MUs
   };
+
+  // Map accessors over the lazily striped arrays (see the header comment).
+  std::uint64_t map_get(Lba lba, std::uint32_t slot) const;
+  void map_set(std::uint64_t logical_mu, std::uint64_t linear_mu) {
+    map_[logical_mu] = linear_mu + 2;
+  }
+  std::uint64_t rmap_get(std::uint64_t linear_page, std::uint32_t slot) const;
+  void rmap_set(std::uint64_t linear_mu, std::uint64_t logical_mu) {
+    reverse_[linear_mu] = logical_mu + 2;  // ~0 (invalid) wraps to 1
+  }
 
   PhysPageAddr decode(std::uint64_t linear) const;
   std::uint64_t encode(const PhysPageAddr& addr) const;
@@ -179,9 +203,10 @@ class Ftl {
   std::uint32_t mus_per_block_;
 
   // Linear MU address = linear page * spp + slot; logical MU id =
-  // lba * spp + slot.
-  std::vector<std::uint64_t> map_;       // logical MU -> linear MU address
-  std::vector<std::uint64_t> reverse_;   // linear MU address -> logical MU
+  // lba * spp + slot. Entries are encoded (0 = striped, else value + 2):
+  // read and write them only through map_get/map_set/rmap_get/rmap_set.
+  ZeroedArray<std::uint64_t> map_;      // logical MU -> linear MU address
+  ZeroedArray<std::uint64_t> reverse_;  // linear MU address -> logical MU
   std::vector<Block> blocks_;            // global block id = die-major
   std::vector<std::vector<std::uint64_t>> free_blocks_;  // per die (LIFO)
   std::vector<std::uint64_t> active_block_;              // per die, global id

@@ -1,6 +1,8 @@
 // Unit and property tests for src/common: RNG, zipf sampling, statistics,
-// pattern bytes, LRU map, and the table printer.
+// pattern bytes, LRU map, the table printer, and the zeroed array.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -21,6 +23,7 @@
 #include "common/stats.h"
 #include "common/table.h"
 #include "common/thread_pool.h"
+#include "common/zeroed_array.h"
 #include "common/zipf.h"
 
 namespace pipette {
@@ -689,6 +692,47 @@ TEST(JsonValid, AcceptsAndRejects) {
   EXPECT_FALSE(json_valid("{\"a\":01}"));
   EXPECT_FALSE(json_valid("\"unterminated"));
   EXPECT_FALSE(json_valid("nul"));
+}
+
+// Pages of [p, p + bytes) that are resident right now, per mincore().
+std::size_t resident_pages(const void* p, std::size_t bytes) {
+  const std::uintptr_t page =
+      static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+  const std::uintptr_t begin =
+      reinterpret_cast<std::uintptr_t>(p) & ~(page - 1);
+  const std::uintptr_t end = reinterpret_cast<std::uintptr_t>(p) + bytes;
+  std::vector<unsigned char> vec((end - begin + page - 1) / page);
+  EXPECT_EQ(::mincore(reinterpret_cast<void*>(begin), end - begin, vec.data()),
+            0);
+  return static_cast<std::size_t>(
+      std::count_if(vec.begin(), vec.end(), [](unsigned char v) {
+        return (v & 1) != 0;
+      }));
+}
+
+TEST(ZeroedArray, FreshArrayIsZeroAndNotResidentAfterLargeFrees) {
+  constexpr std::size_t kSize = std::size_t{1} << 20;  // 8 MiB of u64
+  // Leave the C allocator holding freed, touched memory of that size: a
+  // large free raises glibc's mmap threshold, and the smaller blocks then
+  // come from (and go back to) its heap. An array carved out of that heap
+  // would be resident before anything is written to it.
+  { std::vector<std::uint64_t> big(2 * kSize, 1); }
+  {
+    std::vector<std::unique_ptr<std::uint64_t[]>> blocks;
+    for (int i = 0; i < 12; ++i) {
+      blocks.emplace_back(new std::uint64_t[kSize / 8]);
+      std::fill_n(blocks.back().get(), kSize / 8, 1);
+    }
+  }
+  ZeroedArray<std::uint64_t> a(kSize);
+  ASSERT_EQ(a.size(), kSize);
+  EXPECT_EQ(resident_pages(&a[0], kSize * sizeof(std::uint64_t)), 0u);
+  EXPECT_EQ(a[0], 0u);
+  EXPECT_EQ(a[kSize - 1], 0u);
+  a[kSize - 1] = 7;
+  ZeroedArray<std::uint64_t> b(std::move(a));
+  EXPECT_EQ(a.size(), 0u);
+  EXPECT_EQ(b[kSize - 1], 7u);
 }
 
 }  // namespace

@@ -5,7 +5,9 @@
 // bit-identical across it.
 //
 // The invariants checked after every fuzz batch:
-//  * the logical->physical MU map is injective and in range;
+//  * the logical->physical MU map is injective and in range, and the
+//    reverse map inverts it exactly: every mapped MU names its owner and
+//    every linear MU outside the forward image reads as invalid;
 //  * per-block valid-MU accounting equals the count recomputed from the map
 //    (so GC relocated exactly the live MUs, never an invalid one);
 //  * total valid MUs are conserved at lba_count * slots_per_page;
@@ -39,6 +41,17 @@ NandGeometry fuzz_geometry() {
   g.planes_per_die = 1;
   g.blocks_per_plane = 8;
   g.pages_per_block = 16;
+  return g;
+}
+
+// 3ch x 3way: neither stripe dimension is a power of two, and lba_count
+// 715 = 79 * 9 + 4 ends in a partial stripe, so the inverse striping
+// formula sees dies whose last page holds an LBA and dies whose does not.
+// 79-80 used pages per die leave 3 free blocks, as above.
+NandGeometry odd_fuzz_geometry() {
+  NandGeometry g = fuzz_geometry();
+  g.channels = 3;
+  g.ways_per_channel = 3;
   return g;
 }
 
@@ -132,6 +145,16 @@ void check_invariants(const Ftl& ftl, const NandGeometry& g,
       ++per_block[ftl.block_of_linear_mu(linear)];
     }
   }
+  // The reverse map is the exact inverse of the forward one.
+  for (Lba lba = 0; lba < lbas; ++lba)
+    for (std::uint32_t s = 0; s < spp; ++s)
+      ASSERT_EQ(ftl.mu_owner(ftl.mu_linear(lba, s)), lba * spp + s)
+          << "lba " << lba << " slot " << s;
+  for (std::uint64_t linear = 0; linear < total_mus; ++linear)
+    if (!seen.count(linear)) {
+      ASSERT_EQ(ftl.mu_owner(linear), ~0ull) << "linear mu " << linear;
+    }
+
   std::uint64_t valid_sum = 0;
   for (std::uint64_t b = 0; b < ftl.block_count(); ++b) {
     EXPECT_EQ(per_block[b], ftl.block_valid_mus(b)) << "block " << b;
@@ -178,21 +201,21 @@ void check_invariants(const Ftl& ftl, const NandGeometry& g,
   }
 }
 
-class FtlFuzz : public ::testing::TestWithParam<std::uint32_t> {};
-
-TEST_P(FtlFuzz, RandomizedWritesPreserveInvariants) {
-  const std::uint32_t mu = GetParam();
-  const NandGeometry g = fuzz_geometry();
-  const std::uint64_t lbas = 640;
+// 6000 random full and partial writes. The invariants are checked on the
+// fresh device and every 500 writes, then the cumulative drain totals are
+// checked against the stats counters.
+void fuzz_writes(const NandGeometry& g, std::uint64_t lbas, std::uint32_t mu,
+                 std::uint64_t seed) {
   Ftl ftl(g, lbas, mu);
   const std::uint32_t spp = ftl.slots_per_page();
   ASSERT_EQ(spp, g.page_size / mu);
+  std::vector<std::uint64_t> prev_erases(g.dies(), 0);
+  check_invariants(ftl, g, prev_erases);  // the fresh, purely striped map
 
-  Rng rng(0x5eed1000 + mu);
+  Rng rng(seed);
   DrainTotals totals;
   totals.erases_per_die.assign(g.dies(), 0);
-  std::vector<std::uint64_t> prev_erases(g.dies(), 0);
-  const std::uint32_t full_mask = spp >= 32 ? ~0u : ((1u << spp) - 1u);
+  const std::uint32_t full_mask = (1u << spp) - 1u;
 
   for (int op = 0; op < 6000; ++op) {
     const Lba lba = rng.next_below(lbas);
@@ -241,8 +264,73 @@ TEST_P(FtlFuzz, RandomizedWritesPreserveInvariants) {
             st.pages_programmed);
 }
 
+class FtlFuzz : public ::testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(FtlFuzz, RandomizedWritesPreserveInvariants) {
+  const std::uint32_t mu = GetParam();
+  fuzz_writes(fuzz_geometry(), 640, mu, 0x5eed1000 + mu);
+}
+
 INSTANTIATE_TEST_SUITE_P(MappingUnits, FtlFuzz,
                          ::testing::Values(512u, 1024u, 2048u, 4096u));
+
+class FtlFuzzOddGeometry : public ::testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(FtlFuzzOddGeometry, RandomizedWritesPreserveInvariants) {
+  const std::uint32_t mu = GetParam();
+  fuzz_writes(odd_fuzz_geometry(), 715, mu, 0x5eed2000 + mu);
+}
+
+INSTANTIATE_TEST_SUITE_P(MappingUnits, FtlFuzzOddGeometry,
+                         ::testing::Values(512u, 1024u, 2048u, 4096u));
+
+// --- The initial (lazily derived) striped map ---------------------------
+
+// Stripe formula, spelled independently of the FTL: LBA i sits on channel
+// i % C, way (i / C) % W, die-local page i / (C * W).
+PhysPageAddr striped_addr(const NandGeometry& g, Lba i) {
+  return {static_cast<std::uint32_t>(i % g.channels),
+          static_cast<std::uint32_t>((i / g.channels) % g.ways_per_channel),
+          i / (g.channels * g.ways_per_channel)};
+}
+
+std::uint64_t linear_page(const NandGeometry& g, const PhysPageAddr& a) {
+  return (static_cast<std::uint64_t>(a.channel) * g.ways_per_channel + a.way) *
+             g.pages_per_die() +
+         a.page;
+}
+
+// A fresh device on the paper's default geometry (64 dies, 8.4 M pages) at
+// the largest legal lba_count and a sub-page MU: the first and last LBAs
+// resolve to the stripe formula in both directions, and the last linear
+// MU, past every striped page, holds nothing.
+TEST(FtlInitialMap, FreshDefaultGeometryMatchesStripeFormula) {
+  const NandGeometry g;
+  const std::uint64_t lbas = g.total_pages() - g.total_pages() / 8 - 5;
+  Ftl ftl(g, lbas, 1024);
+  const std::uint32_t spp = ftl.slots_per_page();
+  ASSERT_EQ(spp, 4u);
+  for (const Lba lba : {Lba{0}, Lba{1}, Lba{g.channels}, lbas - 1}) {
+    const PhysPageAddr want = striped_addr(g, lba);
+    EXPECT_TRUE(ftl.lookup(lba) == want) << "lba " << lba;
+    for (std::uint32_t s = 0; s < spp; ++s) {
+      const std::uint64_t linear = linear_page(g, want) * spp + s;
+      EXPECT_EQ(ftl.mu_linear(lba, s), linear) << "lba " << lba;
+      EXPECT_EQ(ftl.mu_owner(linear), lba * spp + s) << "lba " << lba;
+    }
+  }
+  EXPECT_EQ(ftl.mu_owner(g.total_pages() * spp - 1), ~0ull);
+  // The page right after the last LBA's, on the same die, is unowned.
+  const PhysPageAddr last = striped_addr(g, lbas - 1);
+  EXPECT_EQ(ftl.mu_owner((linear_page(g, last) + 1) * spp), ~0ull);
+  EXPECT_EQ(ftl.stats().mus_written, 0u);
+}
+
+TEST(FtlDeathTest, RejectsPageSizeOtherThanLogicalBlock) {
+  NandGeometry g = fuzz_geometry();
+  g.page_size = 8192;
+  EXPECT_DEATH(Ftl(g, 100), "page size must equal");
+}
 
 // --- Hand-computed merged-write arithmetic ------------------------------
 //

@@ -5,6 +5,7 @@
 // reassignment).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <vector>
 
@@ -30,6 +31,28 @@ SlabConfig small_slabs() {
   c.class_sizes = {64, 128, 256, 512, 1024};
   c.max_external_bytes = 64 * 1024;
   return c;
+}
+
+// --- Hmb backing bytes ---
+
+// The HMB starts all zero across Info, TempBuf and Data, whatever backs it,
+// and the very last Data Area byte is addressable.
+TEST(HmbZeroInit, FreshRegionReadsZeroAndLastByteRoundTrips) {
+  Hmb hmb{small_layout()};
+  ASSERT_EQ(hmb.size(), hmb.data_offset() + 64 * 1024);
+  ASSERT_GT(hmb.tempbuf_offset(), 0u);  // a non-empty Info Area precedes
+  std::vector<std::uint8_t> all(hmb.size(), 0xff);
+  hmb.read(0, {all.data(), all.size()});
+  EXPECT_EQ(std::count(all.begin(), all.end(), 0),
+            static_cast<std::ptrdiff_t>(all.size()));
+
+  const HmbAddr last = hmb.size() - 1;
+  const std::uint8_t in = 0xa5;
+  hmb.dma_write(last, {&in, 1});
+  std::uint8_t tail[2] = {0xff, 0xff};
+  hmb.read(last - 1, {tail, 2});
+  EXPECT_EQ(tail[0], 0u);  // the neighbour stays zero
+  EXPECT_EQ(tail[1], in);
 }
 
 // --- SlabStore ---
