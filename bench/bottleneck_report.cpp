@@ -167,7 +167,6 @@ void write_report_json(const BenchArgs& args,
   w.begin_object();
   w.kv("bench", "bottleneck_report");
   w.kv("jobs", args.jobs);
-  w.kv("queue", to_string(queue_kind_of(args)));
   w.key("cells");
   w.begin_array();
   for (std::size_t i = 0; i < results.size(); ++i) {

@@ -1,6 +1,5 @@
 // Microbenchmark of the discrete-event core: raw events/sec through the
-// Simulator for each event-queue backend, plus the host cost of one fixed
-// fig6-style experiment cell.
+// Simulator, plus the host cost of one fixed fig6-style experiment cell.
 //
 // Measurements, all written to BENCH_des.json (override with --json) so the
 // DES hot-loop's throughput is tracked across PRs:
@@ -11,25 +10,21 @@
 //  2. "clustered": lanes sharing a handful of fixed latency-like periods
 //     (a few hundred ns .. tens of us), the shape the SSD model actually
 //     produces — many events land on identical timestamps, exercising the
-//     batch run-drain and the wheel's slot locality.
-//  Both run once per --queue backend (default: both), so the JSON carries a
-//  direct heap-vs-wheel comparison on the same workload.
+//     batch run-drain.
 //  3. "cell": one Pipette / workload-E / uniform cell at a fixed request
 //     count — the end-to-end host_seconds and events_executed the paper
 //     benches actually pay per matrix cell.
 //
-// Before any timing, a differential selfcheck replays one pseudo-random
-// event script (zero deltas, clustered deltas, far-future deltas that spill
-// past the wheel horizon, pushes from inside callbacks) through a heap
-// Simulator and a wheel Simulator and requires the executed (id, when)
-// sequences to be identical. A mismatch — or any InlineFunction heap
-// fallback — makes the bench exit nonzero, which the perf_smoke ctest turns
-// into a failure.
+// Before any timing, an order selfcheck runs one pseudo-random event script
+// (zero deltas, clustered deltas, far-future deltas, pushes from inside
+// callbacks) through a Simulator and requires the executed (when, id) pairs
+// to rise strictly — an event's id is its schedule order — with every
+// scheduled event run. A violation — or any InlineFunction heap fallback —
+// makes the bench exit nonzero, which the perf_smoke ctest turns into a
+// failure.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <memory>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -60,19 +55,17 @@ struct RawResult {
   double seconds = 0.0;
   double events_per_sec = 0.0;
   std::uint64_t heap_fallbacks = 0;
-  std::uint64_t overflow_pushes = 0;
   std::size_t peak_queue_size = 0;
 };
 
 // The two raw workload shapes. `clustered` uses a handful of shared
 // latency-like periods, so each timestamp hosts a run of ~16 events — the
-// regime the batch drain and the wheel are built for.
+// regime the batch drain is built for.
 constexpr SimDuration kClusteredPeriods[] = {480, 3'200, 20'000, 65'000};
 
-RawResult measure_raw(QueueKind queue, bool clustered,
-                      std::uint64_t total_events) {
+RawResult measure_raw(bool clustered, std::uint64_t total_events) {
   constexpr std::uint32_t kLanes = 64;
-  Simulator sim(queue);
+  Simulator sim;
   std::vector<Ticker> lanes(kLanes);
   for (std::uint32_t i = 0; i < kLanes; ++i) {
     lanes[i].sim = &sim;
@@ -93,20 +86,18 @@ RawResult measure_raw(QueueKind queue, bool clustered,
   r.events_per_sec =
       r.seconds > 0.0 ? static_cast<double>(r.events) / r.seconds : 0.0;
   r.heap_fallbacks = inline_function_heap_allocations() - heap0;
-  r.overflow_pushes = sim.queue_overflow_pushes();
   r.peak_queue_size = sim.queue_peak_size();
   return r;
 }
 
-// Differential order check: one deterministic pseudo-random script of
-// self-propagating events, replayed on both backends. Each executed event
-// appends (id, now) to its trace; callbacks push 0..2 children with deltas
-// spanning zero (same-timestamp runs), small clustered values, and
-// far-future jumps beyond the wheel's 2^24 ns horizon (overflow spill and
-// refill). The drain order contract says the traces must match exactly.
+// Order check: one deterministic pseudo-random script of self-propagating
+// events. Each executed event appends (now, id) to the trace; callbacks push
+// 0..2 children with deltas spanning zero (same-timestamp runs), small
+// clustered values, and far-future jumps. Ids are handed out in schedule
+// order, so the drain contract says the trace must rise strictly.
 struct ScriptState {
   Simulator* sim;
-  std::vector<std::pair<std::uint64_t, SimTime>>* trace;
+  std::vector<std::pair<SimTime, std::uint64_t>>* trace;
   std::uint64_t rng;
   std::uint64_t next_id = 0;
   std::uint64_t budget = 0;
@@ -124,7 +115,7 @@ struct ScriptState {
     const SimDuration delta = kDeltas[rand() % (sizeof kDeltas /
                                                 sizeof kDeltas[0])];
     sim->schedule(delta, [this, id] {
-      trace->emplace_back(id, sim->now());
+      trace->emplace_back(sim->now(), id);
       if (budget == 0) return;
       const std::uint64_t kids = rand() % 3;
       for (std::uint64_t k = 0; k < kids && budget > 0; ++k) {
@@ -136,35 +127,31 @@ struct ScriptState {
 };
 
 bool selfcheck_order(std::uint64_t events) {
-  std::vector<std::pair<std::uint64_t, SimTime>> traces[2];
-  const QueueKind kinds[2] = {QueueKind::kHeap, QueueKind::kWheel};
-  for (int v = 0; v < 2; ++v) {
-    Simulator sim(kinds[v]);
-    ScriptState s{&sim, &traces[v], /*rng=*/0x9e3779b97f4a7c15ull, 0, events};
-    for (int seedlings = 0; seedlings < 64 && s.budget > 0; ++seedlings) {
-      --s.budget;
-      s.spawn();
-    }
-    sim.run_all();
+  std::vector<std::pair<SimTime, std::uint64_t>> trace;
+  Simulator sim;
+  ScriptState s{&sim, &trace, /*rng=*/0x9e3779b97f4a7c15ull, 0, events};
+  for (int seedlings = 0; seedlings < 64 && s.budget > 0; ++seedlings) {
+    --s.budget;
+    s.spawn();
   }
-  if (traces[0] == traces[1]) return true;
-  std::fprintf(stderr,
-               "pipette: heap/wheel drain order DIVERGED (%zu vs %zu events",
-               traces[0].size(), traces[1].size());
-  const std::size_t n = std::min(traces[0].size(), traces[1].size());
-  for (std::size_t i = 0; i < n; ++i) {
-    if (traces[0][i] == traces[1][i]) continue;
+  sim.run_all();
+  if (trace.size() != s.next_id) {
+    std::fprintf(stderr, "pipette: %zu of %llu scheduled events ran\n",
+                 trace.size(), static_cast<unsigned long long>(s.next_id));
+    return false;
+  }
+  for (std::size_t i = 1; i < trace.size(); ++i) {
+    if (trace[i - 1] < trace[i]) continue;
     std::fprintf(stderr,
-                 "; first mismatch at %zu: heap id=%llu t=%llu, wheel "
-                 "id=%llu t=%llu",
-                 i, static_cast<unsigned long long>(traces[0][i].first),
-                 static_cast<unsigned long long>(traces[0][i].second),
-                 static_cast<unsigned long long>(traces[1][i].first),
-                 static_cast<unsigned long long>(traces[1][i].second));
-    break;
+                 "pipette: drain order VIOLATED at %zu: t=%llu id=%llu ran "
+                 "after t=%llu id=%llu\n",
+                 i, static_cast<unsigned long long>(trace[i].first),
+                 static_cast<unsigned long long>(trace[i].second),
+                 static_cast<unsigned long long>(trace[i - 1].first),
+                 static_cast<unsigned long long>(trace[i - 1].second));
+    return false;
   }
-  std::fprintf(stderr, ")\n");
-  return false;
+  return true;
 }
 
 // Detector hot path: record() folds each demanded range into the per-page
@@ -225,56 +212,30 @@ int main(int argc, char** argv) {
   if (args.quick) raw_events = 200'000;
   if (args.requests != 0) raw_events = args.requests;
 
-  std::vector<QueueKind> kinds;
-  if (args.queue == "heap")
-    kinds = {QueueKind::kHeap};
-  else if (args.queue == "wheel")
-    kinds = {QueueKind::kWheel};
-  else
-    kinds = {QueueKind::kHeap, QueueKind::kWheel};
-
   std::printf("=== DES microbench — event core throughput ===\n");
 
   const bool order_ok = selfcheck_order(std::min<std::uint64_t>(
       raw_events, 200'000));
-  std::printf("order selfcheck: %s (heap vs wheel, randomized script)\n",
+  std::printf("order selfcheck: %s (randomized script)\n",
               order_ok ? "ok" : "FAILED");
 
   struct Variant {
-    QueueKind queue;
     const char* workload;
     RawResult result;
   };
   std::vector<Variant> variants;
   std::uint64_t total_fallbacks = 0;
-  for (QueueKind kind : kinds) {
-    for (bool clustered : {false, true}) {
-      const char* workload = clustered ? "clustered" : "uniform_ticks";
-      RawResult r = measure_raw(kind, clustered, raw_events);
-      total_fallbacks += r.heap_fallbacks;
-      std::printf(
-          "%-14s : %-13s %llu events in %.3fs -> %.0f events/sec "
-          "(peak queue %zu, %llu overflow, %llu heap-fallback cbs)\n",
-          to_string(kind), workload,
-          static_cast<unsigned long long>(r.events), r.seconds,
-          r.events_per_sec, r.peak_queue_size,
-          static_cast<unsigned long long>(r.overflow_pushes),
-          static_cast<unsigned long long>(r.heap_fallbacks));
-      variants.push_back({kind, workload, r});
-    }
-  }
-  if (kinds.size() == 2) {
-    for (const char* workload : {"uniform_ticks", "clustered"}) {
-      double heap_rate = 0.0, wheel_rate = 0.0;
-      for (const Variant& v : variants) {
-        if (std::string_view(v.workload) != workload) continue;
-        (v.queue == QueueKind::kHeap ? heap_rate : wheel_rate) =
-            v.result.events_per_sec;
-      }
-      if (heap_rate > 0.0)
-        std::printf("speedup        : %-13s wheel/heap = %.2fx\n", workload,
-                    wheel_rate / heap_rate);
-    }
+  for (bool clustered : {false, true}) {
+    const char* workload = clustered ? "clustered" : "uniform_ticks";
+    RawResult r = measure_raw(clustered, raw_events);
+    total_fallbacks += r.heap_fallbacks;
+    std::printf(
+        "raw            : %-13s %llu events in %.3fs -> %.0f events/sec "
+        "(peak queue %zu, %llu heap-fallback cbs)\n",
+        workload, static_cast<unsigned long long>(r.events), r.seconds,
+        r.events_per_sec, r.peak_queue_size,
+        static_cast<unsigned long long>(r.heap_fallbacks));
+    variants.push_back({workload, r});
   }
   if (total_fallbacks != 0) {
     std::fprintf(stderr,
@@ -294,7 +255,7 @@ int main(int argc, char** argv) {
       detector_ok ? "" : " — REGRESSION");
 
   // Fixed cell (never rescaled by --quick/--requests: the point is a number
-  // comparable across PRs). Honors --queue wheel; heap otherwise.
+  // comparable across PRs).
   SyntheticConfig sc = table1_workload('E', Distribution::kUniform, 42);
   sc.file_size = 8 * kMiB;
   SyntheticWorkload workload(sc);
@@ -306,9 +267,8 @@ int main(int argc, char** argv) {
           ? static_cast<double>(cell.events_executed) / cell.host_seconds
           : 0.0;
   std::printf(
-      "fixed cell     : Pipette/E/uniform (%s), %llu+%llu requests -> "
+      "fixed cell     : Pipette/E/uniform, %llu+%llu requests -> "
       "%.3fs host, %llu events (%.0f events/sec)\n",
-      to_string(queue_kind_of(args)),
       static_cast<unsigned long long>(run.requests),
       static_cast<unsigned long long>(run.warmup), cell.host_seconds,
       static_cast<unsigned long long>(cell.events_executed),
@@ -325,12 +285,10 @@ int main(int argc, char** argv) {
   w.begin_array();
   for (const Variant& v : variants) {
     w.begin_object();
-    w.kv("queue", to_string(v.queue));
     w.kv("workload", v.workload);
     w.kv("events", v.result.events);
     w.kv("host_seconds", v.result.seconds, 6);
     w.kv("events_per_sec", v.result.events_per_sec, 0);
-    w.kv("overflow_pushes", v.result.overflow_pushes);
     w.kv("peak_queue_size", v.result.peak_queue_size);
     w.kv("heap_fallback_callbacks", v.result.heap_fallbacks);
     w.end_object();
@@ -347,7 +305,6 @@ int main(int argc, char** argv) {
   w.begin_object();
   w.kv("system", "Pipette");
   w.kv("workload", "E");
-  w.kv("queue", to_string(queue_kind_of(args)));
   w.kv("requests", run.requests);
   w.kv("warmup", run.warmup);
   w.kv("host_seconds", cell.host_seconds, 6);

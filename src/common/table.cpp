@@ -1,9 +1,12 @@
 #include "common/table.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 
 #include "common/assert.h"
 
@@ -71,6 +74,24 @@ std::string csv_escape(const std::string& s) {
   out += '"';
   return out;
 }
+
+constexpr std::uint64_t kU64Max = std::numeric_limits<std::uint64_t>::max();
+
+/// A numeric flag value: a whole decimal number in [0, max] and nothing
+/// else (no sign, suffix or whitespace). Anything else exits 2.
+std::uint64_t parse_number(const char* flag, const char* text,
+                           std::uint64_t max) {
+  const char* end = text + std::strlen(text);
+  std::uint64_t value = 0;
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ptr == text || ptr != end || ec != std::errc() || value > max) {
+    std::fprintf(stderr,
+                 "pipette: %s must be a whole number in [0, %llu] (got %s)\n",
+                 flag, static_cast<unsigned long long>(max), text);
+    std::exit(2);
+  }
+  return value;
+}
 }  // namespace
 
 std::string Table::to_csv() const {
@@ -112,26 +133,20 @@ BenchArgs BenchArgs::parse(int argc, char** argv, const ExtraFlagFn& extra,
       }
       return argv[++i];
     };
+    auto need_number = [&](const char* flag, std::uint64_t max) {
+      return parse_number(flag, need_value(flag), max);
+    };
     if (std::strcmp(argv[i], "--csv") == 0) {
       args.csv_path = need_value("--csv");
     } else if (std::strcmp(argv[i], "--json") == 0) {
       args.json_path = need_value("--json");
     } else if (std::strcmp(argv[i], "--requests") == 0) {
-      args.requests = std::strtoull(need_value("--requests"), nullptr, 10);
+      args.requests = need_number("--requests", kU64Max);
     } else if (std::strcmp(argv[i], "--seed") == 0) {
-      args.seed = std::strtoull(need_value("--seed"), nullptr, 10);
+      args.seed = need_number("--seed", kU64Max);
     } else if (std::strcmp(argv[i], "--jobs") == 0) {
       args.jobs = static_cast<unsigned>(
-          std::strtoul(need_value("--jobs"), nullptr, 10));
-    } else if (std::strcmp(argv[i], "--queue") == 0) {
-      args.queue = need_value("--queue");
-      if (args.queue != "heap" && args.queue != "wheel" &&
-          args.queue != "both") {
-        std::fprintf(stderr,
-                     "pipette: --queue must be heap, wheel or both (got %s)\n",
-                     args.queue.c_str());
-        std::exit(2);
-      }
+          need_number("--jobs", std::numeric_limits<unsigned>::max()));
     } else if (std::strcmp(argv[i], "--interconnect") == 0) {
       args.interconnect = need_value("--interconnect");
       if (args.interconnect != "hmb" && args.interconnect != "lmb") {
@@ -144,7 +159,7 @@ BenchArgs BenchArgs::parse(int argc, char** argv, const ExtraFlagFn& extra,
       args.prefetch = true;
     } else if (std::strcmp(argv[i], "--mu") == 0) {
       args.mapping_unit = static_cast<std::uint32_t>(
-          std::strtoul(need_value("--mu"), nullptr, 10));
+          need_number("--mu", std::numeric_limits<std::uint32_t>::max()));
       if (args.mapping_unit < 512 || args.mapping_unit > 4096 ||
           4096 % args.mapping_unit != 0) {
         std::fprintf(stderr,
@@ -158,14 +173,11 @@ BenchArgs BenchArgs::parse(int argc, char** argv, const ExtraFlagFn& extra,
     } else if (std::strcmp(argv[i], "--help") == 0) {
       std::printf(
           "usage: %s [--requests N] [--seed S] [--quick] [--jobs N] "
-          "[--queue heap|wheel|both] [--interconnect hmb|lmb] [--prefetch] "
-          "[--mu BYTES] [--csv PATH] [--json PATH]\n"
+          "[--interconnect hmb|lmb] [--prefetch] [--mu BYTES] [--csv PATH] "
+          "[--json PATH]\n"
           "  --jobs N     run independent experiment cells on N threads\n"
           "               (0 = hardware concurrency, 1 = serial; results\n"
           "               are bit-identical at any job count)\n"
-          "  --queue Q    event-queue backend (drain order is identical;\n"
-          "               this is a host-speed knob; 'both' only where a\n"
-          "               bench compares backends)\n"
           "  --interconnect L  link carrying fine-grained fills: hmb (PCIe\n"
           "               DMA into host DRAM, default) or lmb (CXL-linked\n"
           "               memory buffer with its own timing)\n"

@@ -11,16 +11,6 @@ namespace {
 constexpr std::size_t kArity = 4;
 }  // namespace
 
-const char* to_string(QueueKind kind) {
-  switch (kind) {
-    case QueueKind::kHeap:
-      return "heap";
-    case QueueKind::kWheel:
-      return "wheel";
-  }
-  return "?";
-}
-
 void EventQueue::push(SimTime when, std::uint64_t seq, Callback cb) {
   std::uint32_t handle;
   if (!free_.empty()) {
@@ -36,35 +26,23 @@ void EventQueue::push(SimTime when, std::uint64_t seq, Callback cb) {
   if (heap_.size() > peak_size_) peak_size_ = heap_.size();
 }
 
-void EventQueue::pop_min(SimTime& when, std::uint64_t& seq, Callback& cb) {
+EventQueue::Entry EventQueue::remove_root() {
   const Entry root = heap_[0];
+  free_.push_back(root.node);
+  const Entry displaced = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) {
+    heap_[0] = displaced;
+    sift_down(0);
+  }
+  return root;
+}
+
+void EventQueue::pop_min(SimTime& when, std::uint64_t& seq, Callback& cb) {
+  const Entry root = remove_root();
   when = root.when;
   seq = root.seq;
   cb = std::move(nodes_[root.node]);
-  free_.push_back(root.node);
-  const Entry displaced = heap_.back();
-  heap_.pop_back();
-  if (!heap_.empty()) {
-    heap_[0] = displaced;
-    sift_down(0);
-  }
-}
-
-void EventQueue::pop_min(SimTime& when, Callback& cb) {
-  std::uint64_t seq;
-  pop_min(when, seq, cb);
-}
-
-void EventQueue::pop_root_into(std::vector<Callback>& out) {
-  const Entry root = heap_[0];
-  out.push_back(std::move(nodes_[root.node]));
-  free_.push_back(root.node);
-  const Entry displaced = heap_.back();
-  heap_.pop_back();
-  if (!heap_.empty()) {
-    heap_[0] = displaced;
-    sift_down(0);
-  }
 }
 
 std::size_t EventQueue::pop_run(SimTime& when, std::vector<Callback>& out) {
@@ -88,7 +66,7 @@ std::size_t EventQueue::pop_run(SimTime& when, std::vector<Callback>& out) {
 
   const std::size_t k = run_pos_.size();
   if (k == 1) {
-    pop_root_into(out);
+    out.push_back(std::move(nodes_[remove_root().node]));
     return 1;
   }
 
@@ -102,7 +80,8 @@ std::size_t EventQueue::pop_run(SimTime& when, std::vector<Callback>& out) {
       k * 2 * static_cast<std::size_t>(std::bit_width(n));
   if (pop_cost <= survivors) {
     // The next k pops are exactly the run, in ascending seq order.
-    for (std::size_t i = 0; i < k; ++i) pop_root_into(out);
+    for (std::size_t i = 0; i < k; ++i)
+      out.push_back(std::move(nodes_[remove_root().node]));
     return k;
   }
 

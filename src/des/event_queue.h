@@ -1,21 +1,12 @@
-// Event-queue backends for the DES core.
+// Event queue for the DES core: a 4-ary min-heap of compact 24-byte
+// (when, seq, handle) entries with out-of-line callback storage. Sifts
+// compare and shuffle only the contiguous heap array, never the callbacks;
+// the callback slab is recycled through a free list.
 //
-// Two interchangeable priority-queue implementations sit behind
-// EventQueueInterface, selected per machine (MachineConfig::queue):
-//
-//  * EventQueue  — a 4-ary min-heap of compact 24-byte (when, seq, handle)
-//    entries with out-of-line callback storage (the PR 2 design). Sifts
-//    compare and shuffle only the contiguous heap array, never the
-//    callbacks; the callback slab is recycled through a free list.
-//  * WheelQueue  — a hierarchical timing wheel (wheel_queue.h) that turns
-//    the clustered fixed deltas of NAND/PCIe/HMB latencies into O(1)
-//    schedule/extract operations, spilling far-future events to an
-//    embedded EventQueue.
-//
-// Both back ends drain events in exactly (when, seq) ascending order — the
-// determinism contract every golden trace pins — and both support pop_run():
-// extracting an entire same-timestamp run at once so the simulator does not
-// pay one re-sift per event on burst-heavy schedules.
+// Events drain in exactly (when, seq) ascending order — the determinism
+// contract every golden trace pins — and pop_run() extracts an entire
+// same-timestamp run at once, so the simulator does not pay one re-sift per
+// event on burst-heavy schedules.
 #pragma once
 
 #include <cstdint>
@@ -26,74 +17,43 @@
 
 namespace pipette {
 
-/// Which event-queue backend a Simulator uses. The two are bit-identical in
-/// drain order; they differ only in host cost per operation.
-enum class QueueKind {
-  kHeap,   // 4-ary pooled min-heap (EventQueue)
-  kWheel,  // hierarchical timing wheel + overflow heap (WheelQueue)
-};
+/// Only for `Simulator sim(config.queue)` in benchmark/pipette_bench.cpp.
+enum class QueueKind { kHeap };
 
-const char* to_string(QueueKind kind);
-
-class EventQueueInterface {
+class EventQueue {
  public:
   using Callback = InlineFunction<void()>;
 
-  virtual ~EventQueueInterface() = default;
-
-  virtual bool empty() const = 0;
-  virtual std::size_t size() const = 0;
+  bool empty() const { return heap_.empty(); }
+  std::size_t size() const { return heap_.size(); }
 
   /// Timestamp of the earliest event; requires !empty().
-  virtual SimTime min_when() const = 0;
+  SimTime min_when() const { return heap_[0].when; }
 
   /// Insert an event. Ordering is by (when, seq) ascending, so equal
   /// timestamps drain in submission order — the determinism contract.
-  virtual void push(SimTime when, std::uint64_t seq, Callback cb) = 0;
+  void push(SimTime when, std::uint64_t seq, Callback cb);
 
   /// Remove the earliest event, writing its key to `when`/`seq` and moving
   /// its callback into `cb` (no copy); requires !empty(). The slot is
   /// recycled immediately, so the callback may push new events freely.
-  virtual void pop_min(SimTime& when, std::uint64_t& seq, Callback& cb) = 0;
+  void pop_min(SimTime& when, std::uint64_t& seq, Callback& cb);
 
   /// Remove *every* event sharing the earliest timestamp in one operation,
   /// appending the callbacks to `out` in ascending seq order; requires
   /// !empty(). Returns the run length. Cheaper than run-length pop_min
-  /// calls: the backend restructures once per run, not once per event.
-  virtual std::size_t pop_run(SimTime& when, std::vector<Callback>& out) = 0;
+  /// calls: the heap restructures once per run, not once per event.
+  std::size_t pop_run(SimTime& when, std::vector<Callback>& out);
 
-  /// Release slab capacity retained above current occupancy. Callback slabs
-  /// only ever grow with the high-water mark of pending events; trimming
-  /// between experiment cells hands that memory back. Never changes drain
-  /// order; pending events are untouched.
-  virtual void trim() = 0;
+  /// Release slab capacity retained above current occupancy. The callback
+  /// slab only ever grows with the high-water mark of pending events;
+  /// trimming between experiment cells hands that memory back. Never
+  /// changes drain order; pending events are untouched.
+  void trim();
 
-  /// High-water mark of size() observed after any push. Identical across
-  /// backends for identical schedules (exported as `des.slab_peak`).
-  virtual std::size_t peak_size() const = 0;
-
-  /// Pushes that spilled to an overflow structure because the primary one
-  /// could not hold their horizon (wheel only; the heap never spills).
-  virtual std::uint64_t overflow_pushes() const { return 0; }
-};
-
-class EventQueue final : public EventQueueInterface {
- public:
-  bool empty() const override { return heap_.empty(); }
-  std::size_t size() const override { return heap_.size(); }
-
-  SimTime min_when() const override { return heap_[0].when; }
-
-  void push(SimTime when, std::uint64_t seq, Callback cb) override;
-
-  void pop_min(SimTime& when, std::uint64_t& seq, Callback& cb) override;
-  /// Legacy two-argument form (tests and callers that don't need the seq).
-  void pop_min(SimTime& when, Callback& cb);
-
-  std::size_t pop_run(SimTime& when, std::vector<Callback>& out) override;
-
-  void trim() override;
-  std::size_t peak_size() const override { return peak_size_; }
+  /// High-water mark of size() observed after any push (exported as
+  /// `des.slab_peak`).
+  std::size_t peak_size() const { return peak_size_; }
 
  private:
   /// Heap entry: the full sort key inline plus the callback slot handle.
@@ -111,9 +71,9 @@ class EventQueue final : public EventQueueInterface {
   }
   void sift_up(std::size_t pos);
   void sift_down(std::size_t pos);
-  /// Move the root's callback out (appending to `out`), recycle its node,
-  /// and restore the heap with one sift.
-  void pop_root_into(std::vector<Callback>& out);
+  /// Unlink the root, recycle its slab handle (its callback stays readable
+  /// until the next push) and restore the heap with one sift.
+  Entry remove_root();
 
   std::vector<Callback> nodes_;      // callback slab; index = stable handle
   std::vector<Entry> heap_;          // 4-ary heap of keyed entries

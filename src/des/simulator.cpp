@@ -3,21 +3,8 @@
 #include <utility>
 
 #include "common/assert.h"
-#include "des/wheel_queue.h"
 
 namespace pipette {
-
-Simulator::Simulator(QueueKind queue) : queue_kind_(queue) {
-  switch (queue) {
-    case QueueKind::kWheel:
-      queue_ = std::make_unique<WheelQueue>();
-      break;
-    case QueueKind::kHeap:
-      queue_ = std::make_unique<EventQueue>();
-      break;
-  }
-  PIPETTE_ASSERT(queue_ != nullptr);
-}
 
 void Simulator::schedule(SimDuration delay, Callback cb) {
   schedule_at(now_ + delay, std::move(cb));
@@ -25,7 +12,7 @@ void Simulator::schedule(SimDuration delay, Callback cb) {
 
 void Simulator::schedule_at(SimTime when, Callback cb) {
   PIPETTE_ASSERT_MSG(when >= now_, "cannot schedule an event in the past");
-  queue_->push(when, next_seq_++, std::move(cb));
+  queue_.push(when, next_seq_++, std::move(cb));
 }
 
 void Simulator::refill_run() {
@@ -34,14 +21,14 @@ void Simulator::refill_run() {
   // clear() destroys only moved-out shells, and capacity is retained.
   run_buf_.clear();
   run_next_ = 0;
-  queue_->pop_run(run_when_, run_buf_);
+  queue_.pop_run(run_when_, run_buf_);
   if (run_when_ > now_) now_ = run_when_;
 }
 
 void Simulator::run_until(SimTime t) {
   for (;;) {
     if (!buffer_active()) {
-      if (queue_->empty() || queue_->min_when() > t) break;
+      if (queue_.empty() || queue_.min_when() > t) break;
       refill_run();
     }
     // Re-check run_when_ every iteration: a callback may nest another run_*
@@ -55,7 +42,7 @@ void Simulator::run_until(SimTime t) {
 void Simulator::run_all() {
   for (;;) {
     if (!buffer_active()) {
-      if (queue_->empty()) return;
+      if (queue_.empty()) return;
       refill_run();
     }
     while (buffer_active()) run_one();

@@ -8,16 +8,14 @@
 //
 // Hot-path design (see DESIGN.md "DES internals"): callbacks are
 // InlineFunction<void()> — move-only with a 48-byte small-buffer so typical
-// captures never heap-allocate — and the timer queue is a pluggable backend
-// (4-ary pooled heap or hierarchical timing wheel, see event_queue.h)
-// drained one same-timestamp *run* at a time: each run is extracted into a
-// reusable buffer with a single queue restructure, then executed without
-// touching the queue until the buffer empties. Extraction order — and
-// therefore every run — is identical whichever backend is selected.
+// captures never heap-allocate — and the timer queue is the pooled 4-ary
+// heap in event_queue.h, held by value and drained one same-timestamp *run*
+// at a time: each run is extracted into a reusable buffer with a single
+// queue restructure, then executed without touching the queue until the
+// buffer empties.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/inline_function.h"
@@ -30,11 +28,11 @@ class Tracer;  // obs/trace.h — the DES core only carries the pointer
 
 class Simulator {
  public:
-  using Callback = EventQueueInterface::Callback;
+  using Callback = EventQueue::Callback;
 
-  explicit Simulator(QueueKind queue = QueueKind::kHeap);
-
-  QueueKind queue_kind() const { return queue_kind_; }
+  Simulator() = default;
+  /// The argument is ignored; see QueueKind.
+  explicit Simulator(QueueKind) {}
 
   /// Observability hook: an installed tracer receives per-stage span
   /// timestamps from instrumented components. The tracer is passive (it
@@ -76,7 +74,7 @@ class Simulator {
     if (done()) return true;
     for (;;) {
       if (!buffer_active()) {
-        if (queue_->empty()) return false;
+        if (queue_.empty()) return false;
         refill_run();
       }
       while (buffer_active()) {
@@ -97,7 +95,7 @@ class Simulator {
     if (done()) return true;
     for (;;) {
       if (!buffer_active()) {
-        if (queue_->empty() || queue_->min_when() > deadline) return false;
+        if (queue_.empty() || queue_.min_when() > deadline) return false;
         refill_run();
       }
       while (buffer_active() && run_when_ <= deadline) {
@@ -109,22 +107,17 @@ class Simulator {
   }
 
   std::size_t pending_events() const {
-    return queue_->size() + buffered_remaining();
+    return queue_.size() + buffered_remaining();
   }
   std::uint64_t events_executed() const { return executed_; }
 
-  /// High-water mark of pending events (backend-invariant; exported as the
-  /// `des.slab_peak` metric — the callback slabs grow exactly with it).
-  std::size_t queue_peak_size() const { return queue_->peak_size(); }
-
-  /// Wheel-backend spills to the overflow heap; 0 on the heap backend.
-  std::uint64_t queue_overflow_pushes() const {
-    return queue_->overflow_pushes();
-  }
+  /// High-water mark of pending events (exported as the `des.slab_peak`
+  /// metric — the callback slab grows exactly with it).
+  std::size_t queue_peak_size() const { return queue_.peak_size(); }
 
   /// Hand back slab capacity above current occupancy (between experiment
   /// cells); never touches pending events or drain order.
-  void trim_queue() { queue_->trim(); }
+  void trim_queue() { queue_.trim(); }
 
  private:
   bool buffer_active() const { return run_next_ < run_buf_.size(); }
@@ -146,8 +139,7 @@ class Simulator {
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
-  QueueKind queue_kind_;
-  std::unique_ptr<EventQueueInterface> queue_;
+  EventQueue queue_;
   Tracer* tracer_ = nullptr;
 
   // Current same-timestamp run, drained front to back. Capacity is reused

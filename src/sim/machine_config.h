@@ -63,9 +63,7 @@ struct MachineConfig {
                             /*enabled=*/true};
   PipettePathConfig pipette;  // used by the Pipette kinds
   TraceConfig trace;          // per-stage tracing (off by default)
-  /// Event-queue backend for this machine's Simulator. Both backends drain
-  /// in bit-identical (when, seq) order (pinned by queue_test), so this is
-  /// purely a host-speed knob; kWheel wins on clustered device latencies.
+  /// Only for `Simulator sim(config.queue)` in benchmark/pipette_bench.cpp.
   QueueKind queue = QueueKind::kHeap;
 };
 

@@ -478,6 +478,37 @@ TEST(BenchArgs, DefaultsWhenBare) {
   EXPECT_EQ(args.jobs, 0u);  // 0 = hardware concurrency
 }
 
+// Numeric flags take a whole decimal number in range and nothing else: no
+// suffix, sign, whitespace or overflow is silently truncated or wrapped.
+TEST(BenchArgs, NumericFlagsTakeWholeNumbersInRange) {
+  const char* limits[] = {"prog",       "--seed", "18446744073709551615",
+                          "--jobs",     "4294967295", "--mu", "512",
+                          "--requests", "0"};
+  const BenchArgs args = BenchArgs::parse(9, const_cast<char**>(limits));
+  EXPECT_EQ(args.seed, 18446744073709551615ull);
+  EXPECT_EQ(args.jobs, 4294967295u);
+  EXPECT_EQ(args.mapping_unit, 512u);
+  EXPECT_EQ(args.requests, 0u);
+
+  const auto parse = [](const char* flag, const char* value) {
+    const char* argv[] = {"prog", flag, value};
+    BenchArgs::parse(3, const_cast<char**>(argv));
+  };
+  const auto exits2 = ::testing::ExitedWithCode(2);
+  EXPECT_EXIT(parse("--requests", "10k"), exits2, "--requests must be");
+  EXPECT_EXIT(parse("--requests", "abc"), exits2, "--requests must be");
+  EXPECT_EXIT(parse("--requests", ""), exits2, "--requests must be");
+  EXPECT_EXIT(parse("--requests", " 5"), exits2, "--requests must be");
+  EXPECT_EXIT(parse("--seed", "+7"), exits2, "--seed must be");
+  EXPECT_EXIT(parse("--seed", "18446744073709551616"), exits2,
+              "--seed must be");
+  EXPECT_EXIT(parse("--jobs", "-1"), exits2, "--jobs must be");
+  EXPECT_EXIT(parse("--jobs", "4294967296"), exits2, "--jobs must be");
+  EXPECT_EXIT(parse("--mu", "512abc"), exits2, "--mu must be");
+  EXPECT_EXIT(parse("--mu", "0x200"), exits2, "--mu must be");
+  EXPECT_EXIT(parse("--mu", "768"), exits2, "--mu must divide 4096");
+}
+
 // --- InlineFunction ---
 
 TEST(InlineFunction, InvokesWithArgumentsAndResult) {

@@ -1,13 +1,18 @@
 // Tests for the discrete-event simulation core: ordering, determinism,
-// clock semantics, condition-driven execution, the pooled event queue, and
-// the allocation-free steady state of the hot loop.
+// clock semantics, condition-driven execution, the pooled event queue (a
+// reference-model fuzz over pop_min and pop_run, batch extraction, trim),
+// and the allocation-free steady state of the hot loop.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstdlib>
+#include <iterator>
 #include <new>
 #include <queue>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -29,9 +34,14 @@ void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
   g_operator_new_calls.fetch_add(1, std::memory_order_relaxed);
   return std::malloc(size != 0 ? size : 1);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept {
+// The deletes stay out of line: inlined into a container's destructor, GCC
+// pairs their free() with operator new and warns (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p,
+                                       const std::nothrow_t&) noexcept {
   std::free(p);
 }
 
@@ -135,17 +145,107 @@ TEST(Simulator, CountsExecutedEvents) {
   EXPECT_EQ(sim.events_executed(), 7u);
 }
 
+// Pushes from inside executing callbacks (the normal DES regime): a seeded
+// self-propagating script with zero, clustered and far-future deltas. Ids
+// are handed out in schedule order, so the executed (now, id) pairs must
+// rise strictly, and every spawned event must run.
+TEST(Simulator, CallbackPushesRunInScheduleOrder) {
+  struct Script {
+    Simulator* sim;
+    std::vector<std::pair<SimTime, std::uint64_t>>* trace;
+    Rng rng;
+    std::uint64_t next_id = 0;
+    std::uint64_t budget = 4000;
+
+    void spawn() {
+      static constexpr SimDuration kDeltas[] = {0,      0,     1,
+                                                480,    3'200, 65'000,
+                                                20'000'000};
+      const std::uint64_t id = next_id++;
+      const SimDuration d = kDeltas[rng.next_below(std::size(kDeltas))];
+      sim->schedule(d, [this, id] {
+        trace->emplace_back(sim->now(), id);
+        const std::uint64_t kids = rng.next_below(3);
+        for (std::uint64_t k = 0; k < kids && budget > 0; ++k) {
+          --budget;
+          spawn();
+        }
+      });
+    }
+  };
+  std::vector<std::pair<SimTime, std::uint64_t>> trace;
+  Simulator sim;
+  Script s{&sim, &trace, Rng(0xfeedface)};
+  for (int i = 0; i < 32; ++i) s.spawn();
+  sim.run_all();
+  EXPECT_GT(trace.size(), 1000u);
+  EXPECT_EQ(trace.size(), s.next_id);
+  for (std::size_t i = 1; i < trace.size(); ++i)
+    ASSERT_LT(trace[i - 1], trace[i]) << "at " << i;
+}
+
 // --- EventQueue ---
 
-// Randomized stress: run ~100k events with duplicate-heavy timestamps
-// through the 4-ary pooled queue and a reference std::priority_queue model
-// side by side, interleaving push and pop bursts. Execution order must be
-// identical — this is the determinism contract every experiment rests on.
-TEST(EventQueue, MatchesReferencePriorityQueueUnderStress) {
+// Runs an EventQueue and a reference std::priority_queue model side by side.
+// An event's seq doubles as its id: its callback logs the seq, and every pop
+// logs the reference's choice, so `got == want` checks payload routing as
+// well as (when, seq) order.
+class ReferenceHarness {
+ public:
+  void push(SimTime when) {
+    const std::uint64_t seq = next_seq_++;
+    queue_.push(when, seq, [this, seq] { got_.push_back(seq); });
+    ref_.push({when, seq});
+    peak_ = std::max(peak_, ref_.size());
+  }
+
+  void pop_min() {
+    SimTime when = 0;
+    std::uint64_t seq = 0;
+    EventQueue::Callback cb;
+    queue_.pop_min(when, seq, cb);
+    ASSERT_EQ(when, ref_.top().when);
+    ASSERT_EQ(seq, ref_.top().seq);
+    take_ref();
+    cb();
+  }
+
+  /// Pops one whole same-timestamp run; returns its length. Both pops
+  /// require a non-empty queue.
+  std::size_t pop_run() {
+    const SimTime want_when = ref_.top().when;
+    std::size_t want_k = 0;
+    while (!ref_.empty() && ref_.top().when == want_when) {
+      take_ref();
+      ++want_k;
+    }
+    SimTime when = 0;
+    run_.clear();
+    const std::size_t k = queue_.pop_run(when, run_);
+    EXPECT_EQ(when, want_when);
+    EXPECT_EQ(k, want_k);
+    EXPECT_EQ(run_.size(), k);
+    for (EventQueue::Callback& cb : run_) cb();
+    return k;
+  }
+
+  void expect_drained() const {
+    EXPECT_TRUE(queue_.empty());
+    EXPECT_TRUE(ref_.empty());
+    EXPECT_EQ(queue_.peak_size(), peak_);
+    EXPECT_EQ(got_, want_);
+  }
+
+  bool empty() const { return ref_.empty(); }
+  std::size_t size() const { return ref_.size(); }
+  SimTime min_when() const { return ref_.top().when; }
+  std::uint64_t events() const { return next_seq_; }
+  const EventQueue& queue() const { return queue_; }
+
+ private:
   struct RefEvent {
     SimTime when;
     std::uint64_t seq;
-    std::uint64_t id;
   };
   struct Later {  // max-heap comparator -> (when, seq) ascending pops
     bool operator()(const RefEvent& a, const RefEvent& b) const {
@@ -154,45 +254,125 @@ TEST(EventQueue, MatchesReferencePriorityQueueUnderStress) {
     }
   };
 
-  EventQueue queue;
-  std::priority_queue<RefEvent, std::vector<RefEvent>, Later> ref;
-  Rng rng(2024);
-  std::vector<std::uint64_t> got, want;
-  constexpr std::uint64_t kEvents = 100'000;
-  got.reserve(kEvents);
-  want.reserve(kEvents);
+  void take_ref() {
+    want_.push_back(ref_.top().seq);
+    ref_.pop();
+  }
 
-  std::uint64_t seq = 0;
-  std::uint64_t id = 0;
+  EventQueue queue_;
+  std::priority_queue<RefEvent, std::vector<RefEvent>, Later> ref_;
+  std::uint64_t next_seq_ = 0;
+  std::size_t peak_ = 0;
+  std::vector<std::uint64_t> got_, want_;
+  std::vector<EventQueue::Callback> run_;
+};
+
+// Randomized stress: duplicate-heavy timestamps through the 4-ary pooled
+// queue and the reference model, interleaving push bursts with pops drained
+// by both pop_min and pop_run. Execution order must be identical — this is
+// the determinism contract every experiment rests on.
+//
+// Phase 1: ~100k events, mostly short runs (pop_run's repeated-pop path).
+// Phase 2: long same-timestamp runs among few survivors, so pop_run takes
+// its compact-and-heapify batch path.
+TEST(EventQueue, MatchesReferencePriorityQueueUnderStress) {
+  ReferenceHarness h;
+  Rng rng(2024);
   SimTime now = 0;
-  while (id < kEvents || !queue.empty()) {
-    if (id < kEvents) {
+
+  constexpr std::uint64_t kEvents = 100'000;
+  while (h.events() < kEvents || !h.empty()) {
+    if (h.events() < kEvents) {
       const std::uint64_t burst = 1 + rng.next_below(8);
-      for (std::uint64_t i = 0; i < burst && id < kEvents; ++i) {
-        // next_below(16) makes duplicate timestamps the common case.
-        const SimTime when = now + rng.next_below(16);
-        const std::uint64_t this_id = id++;
-        queue.push(when, seq, [&got, this_id] { got.push_back(this_id); });
-        ref.push({when, seq, this_id});
-        ++seq;
+      // next_below(16) makes duplicate timestamps the common case.
+      for (std::uint64_t i = 0; i < burst && h.events() < kEvents; ++i)
+        h.push(now + rng.next_below(16));
+    }
+    ASSERT_EQ(h.queue().size(), h.size());
+    const std::uint64_t pops = 1 + rng.next_below(8);
+    for (std::uint64_t i = 0; i < pops && !h.empty(); ++i) {
+      now = h.min_when();
+      if (rng.next_below(2) == 0) {
+        ASSERT_NO_FATAL_FAILURE(h.pop_min());
+      } else {
+        h.pop_run();
       }
     }
-    ASSERT_EQ(queue.size(), ref.size());
-    const std::uint64_t pops = 1 + rng.next_below(8);
-    for (std::uint64_t i = 0; i < pops && !queue.empty(); ++i) {
-      SimTime when = 0;
-      EventQueue::Callback cb;
-      queue.pop_min(when, cb);
-      ASSERT_EQ(when, ref.top().when);
-      want.push_back(ref.top().id);
-      ref.pop();
-      if (when > now) now = when;
-      cb();
+  }
+
+  // Batch extraction pays off when the run is large against the survivors
+  // (see EventQueue::pop_run); count the runs that qualify so the phase
+  // provably reaches that path.
+  std::size_t batch_runs = 0;
+  for (int round = 0; round < 300; ++round) {
+    const std::uint64_t run = 32 + rng.next_below(256);
+    const std::uint64_t survivors = rng.next_below(12);
+    const SimTime run_when = now + 1 + rng.next_below(64);
+    for (std::uint64_t i = 0; i < run + survivors; ++i) {
+      // Interleave survivors among the run so seqs within the run are
+      // not contiguous.
+      const bool survivor = rng.next_below(run + survivors) < survivors;
+      h.push(survivor ? now + rng.next_below(256) : run_when);
+    }
+    // Drain through the run; survivors behind it stay queued.
+    while (!h.empty() && h.min_when() <= run_when) {
+      now = h.min_when();
+      const std::size_t n = h.size();
+      const std::size_t k = h.pop_run();
+      if (k > 1 && k * 2 * static_cast<std::size_t>(std::bit_width(n)) > n - k)
+        ++batch_runs;
     }
   }
-  EXPECT_TRUE(ref.empty());
-  ASSERT_EQ(got.size(), kEvents);
-  EXPECT_EQ(got, want);
+  while (!h.empty()) h.pop_run();
+  EXPECT_GT(batch_runs, 200u);
+  h.expect_drained();
+}
+
+// Differential fuzz: one seeded push/pop script replayed against the queue
+// and the reference model, drained either one event at a time (pop_min) or
+// one timestamp run at a time (pop_run). Deltas are duplicate-heavy with
+// occasional far-future jumps, and pushes never precede the last popped
+// timestamp (the Simulator's schedule-in-the-future contract).
+void run_differential_script(std::uint64_t seed, bool use_pop_run) {
+  static constexpr SimDuration kDeltas[] = {
+      0, 0, 0, 1, 2, 480, 480, 3'200, 4'096, 65'000, 99'999,
+      20'000'000, 40'000'000};
+  constexpr std::size_t kNumDeltas = std::size(kDeltas);
+
+  ReferenceHarness h;
+  Rng rng(seed);
+  SimTime now = 0;
+  for (int round = 0; round < 400; ++round) {
+    const std::uint64_t pushes = rng.next_below(8);
+    for (std::uint64_t p = 0; p < pushes; ++p)
+      h.push(now + kDeltas[rng.next_below(kNumDeltas)]);
+    const std::uint64_t pops = rng.next_below(6);
+    for (std::uint64_t q = 0; q < pops && !h.empty(); ++q) {
+      now = h.min_when();
+      if (use_pop_run) {
+        h.pop_run();
+      } else {
+        ASSERT_NO_FATAL_FAILURE(h.pop_min());
+      }
+    }
+    ASSERT_EQ(h.queue().size(), h.size());
+  }
+  // Drain the rest one event at a time.
+  while (!h.empty()) {
+    ASSERT_EQ(h.queue().min_when(), h.min_when());
+    ASSERT_NO_FATAL_FAILURE(h.pop_min());
+  }
+  h.expect_drained();
+}
+
+TEST(QueueDifferential, PopMinStreamsDrainIdentically) {
+  for (std::uint64_t seed : {1ull, 7ull, 42ull, 1234567ull})
+    run_differential_script(seed, /*use_pop_run=*/false);
+}
+
+TEST(QueueDifferential, PopRunStreamsDrainIdentically) {
+  for (std::uint64_t seed : {2ull, 99ull, 424242ull})
+    run_differential_script(seed, /*use_pop_run=*/true);
 }
 
 TEST(EventQueue, MinWhenTracksEarliestEvent) {
@@ -202,11 +382,101 @@ TEST(EventQueue, MinWhenTracksEarliestEvent) {
   queue.push(20, 2, [] {});
   EXPECT_EQ(queue.min_when(), 10u);
   SimTime when = 0;
+  std::uint64_t seq = 0;
   EventQueue::Callback cb;
-  queue.pop_min(when, cb);
+  queue.pop_min(when, seq, cb);
   EXPECT_EQ(when, 10u);
   EXPECT_EQ(queue.min_when(), 20u);
   EXPECT_EQ(queue.size(), 2u);
+}
+
+// trim() with events pending drops only the free handles at the slab's
+// tail. Handles follow push order, so the four latest events hold handles
+// {0, 2, 40, 41}: after 60 pops the trim must cut the free tail 42..63 but
+// keep the holes below 41. The survivors and fresh pushes (which reuse those
+// holes) must still reach their own callbacks.
+TEST(EventQueue, TrimKeepsPendingEventsAndPeak) {
+  EventQueue q;
+  std::vector<std::uint64_t> ran;
+  for (std::uint64_t i = 0; i < 64; ++i) {
+    const bool survivor = i == 0 || i == 2 || i == 40 || i == 41;
+    q.push(survivor ? 1000 + i : 100 - i, i, [&ran, i] { ran.push_back(i); });
+  }
+  SimTime when = 0;
+  std::uint64_t seq = 0;
+  EventQueue::Callback cb;
+  for (int i = 0; i < 60; ++i) q.pop_min(when, seq, cb);
+  q.trim();
+  EXPECT_EQ(q.size(), 4u);
+  EXPECT_EQ(q.peak_size(), 64u);
+
+  q.push(1001, 100, [&ran] { ran.push_back(100); });
+  q.push(2000, 101, [&ran] { ran.push_back(101); });
+  while (!q.empty()) {
+    q.pop_min(when, seq, cb);
+    cb();
+  }
+  EXPECT_EQ(ran, (std::vector<std::uint64_t>{0, 100, 2, 40, 41, 101}));
+  EXPECT_EQ(q.peak_size(), 64u);
+
+  q.trim();  // empty trim releases everything and stays usable
+  q.push(1, 99, [] {});
+  EXPECT_EQ(q.min_when(), 1u);
+}
+
+// EventQueue batch extraction: both the repeated-pop path (short runs) and
+// the compact+reheapify path (long runs) must yield ascending seq.
+TEST(EventQueueBatch, ShortAndLongRunsDrainInSeqOrder) {
+  EventQueue q;
+  std::vector<std::uint64_t> order;
+  std::uint64_t seq = 0;
+  // A long run at t=50 (200 events: the batch path) buried among 500
+  // later survivors, then a short run at t=60 (the repeated-pop path).
+  std::vector<std::pair<SimTime, std::uint64_t>> pushes;
+  for (int i = 0; i < 200; ++i) pushes.emplace_back(50, seq++);
+  for (int i = 0; i < 500; ++i) pushes.emplace_back(1000 + i, seq++);
+  for (int i = 0; i < 2; ++i) pushes.emplace_back(60, seq++);
+  // Shuffle deterministically so heap layout is nontrivial.
+  Rng rng(7);
+  for (std::size_t i = pushes.size(); i > 1; --i)
+    std::swap(pushes[i - 1], pushes[rng.next_below(i)]);
+  for (const auto& [when, s] : pushes)
+    q.push(when, s, [&order, s = s] { order.push_back(s); });
+
+  SimTime when = 0;
+  std::vector<EventQueue::Callback> run;
+  ASSERT_EQ(q.pop_run(when, run), 200u);
+  EXPECT_EQ(when, 50u);
+  run.clear();
+  ASSERT_EQ(q.pop_run(when, run), 2u);
+  EXPECT_EQ(when, 60u);
+  run.clear();
+  // Everything left drains in strict (when, seq) order.
+  SimTime prev = 0;
+  std::uint64_t prev_seq = 0;
+  while (!q.empty()) {
+    std::uint64_t s = 0;
+    EventQueue::Callback cb;
+    q.pop_min(when, s, cb);
+    EXPECT_TRUE(when > prev || (when == prev && s > prev_seq));
+    prev = when;
+    prev_seq = s;
+  }
+}
+
+TEST(SimulatorBatch, ConditionStopsMidRunAndResumesInOrder) {
+  Simulator sim;
+  std::vector<int> order;
+  for (int i = 0; i < 5; ++i)
+    sim.schedule_at(100, [&order, i] { order.push_back(i); });
+  sim.schedule_at(200, [&order] { order.push_back(99); });
+  // Stop after the 2nd event of the 5-event run: the remaining 3 stay
+  // buffered and still count as pending.
+  EXPECT_TRUE(sim.run_until_condition([&order] { return order.size() == 2; }));
+  EXPECT_EQ(sim.now(), 100u);
+  EXPECT_EQ(sim.pending_events(), 4u);
+  sim.run_all();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 99}));
 }
 
 // --- Allocation behaviour of the hot loop ---
