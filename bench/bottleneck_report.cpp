@@ -36,6 +36,7 @@
 #include "bench_common.h"
 #include "obs/util.h"
 #include "workload/pattern.h"
+#include "workload/zipf_slot.h"
 
 using namespace pipette;
 using namespace pipette::bench;
@@ -61,39 +62,6 @@ class UniformPageWorkload : public Workload {
   std::vector<FileSpec> files_;
   Rng rng_;
   std::uint64_t pages_;
-};
-
-/// gc_wear_sweep's write mix: 512 B uniform reads plus 512 B rewrites of
-/// Zipf(0.9)-popular slots, ranks hashed onto the slot space so hot slots
-/// scatter across pages and blocks (see that bench for why this shape
-/// exercises sub-page GC).
-class ZipfSlotWorkload : public Workload {
- public:
-  ZipfSlotWorkload(std::uint64_t file_size, double write_ratio,
-                   std::uint64_t seed)
-      : rng_(seed), seed_(seed), write_ratio_(write_ratio) {
-    files_.push_back({"gc.dat", file_size});
-    slots_ = file_size / 512;
-  }
-
-  const std::vector<FileSpec>& files() const override { return files_; }
-  Request next() override {
-    if (write_ratio_ > 0.0 && rng_.next_bool(write_ratio_)) {
-      if (!zipf_) zipf_ = std::make_unique<ZipfGenerator>(slots_, 0.9);
-      const std::uint64_t slot = mix64(seed_ ^ zipf_->sample(rng_)) % slots_;
-      return {0, slot * 512, 512, true};
-    }
-    return {0, rng_.next_below(slots_) * 512, 512, false};
-  }
-  std::string name() const override { return "gc-zipf-slot"; }
-
- private:
-  std::vector<FileSpec> files_;
-  Rng rng_;
-  std::uint64_t seed_;
-  double write_ratio_;
-  std::uint64_t slots_ = 0;
-  std::unique_ptr<ZipfGenerator> zipf_;
 };
 
 struct CellSpec {

@@ -9,8 +9,8 @@
 //     inline buffer (the bench asserts zero heap fallbacks).
 //  2. "clustered": lanes sharing a handful of fixed latency-like periods
 //     (a few hundred ns .. tens of us), the shape the SSD model actually
-//     produces — many events land on identical timestamps, exercising the
-//     batch run-drain.
+//     produces — many events land on identical timestamps, so ties are
+//     broken by seq on almost every pop.
 //  3. "cell": one Pipette / workload-E / uniform cell at a fixed request
 //     count — the end-to-end host_seconds and events_executed the paper
 //     benches actually pay per matrix cell.
@@ -59,8 +59,8 @@ struct RawResult {
 };
 
 // The two raw workload shapes. `clustered` uses a handful of shared
-// latency-like periods, so each timestamp hosts a run of ~16 events — the
-// regime the batch drain is built for.
+// latency-like periods, so each timestamp hosts a run of ~16 events: the
+// densest tie pattern the core sees, denser than the SSD model's traffic.
 constexpr SimDuration kClusteredPeriods[] = {480, 3'200, 20'000, 65'000};
 
 RawResult measure_raw(bool clustered, std::uint64_t total_events) {

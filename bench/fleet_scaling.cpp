@@ -10,11 +10,10 @@
 //    of skew: the hottest shard serves disproportionate traffic, and with
 //    --partition range the spatially clustered zipf head lands on one
 //    shard, dragging the whole fleet's tail with it.
-//  * The cores sweep measures *host* scaling: shard→worker pinning hands
-//    each worker a fixed ascending slice of shards and one reusable
-//    RunArena, so host events/sec should grow with cores until
-//    cores == shards. Every combo is asserted bit-identical to its jobs-1
-//    run — parallelism and pinning are never allowed to change results.
+//  * The cores sweep measures *host* scaling: each shard is one task taken
+//    by whichever worker is free, so host events/sec should grow with
+//    cores until cores == shards. Every combo is asserted bit-identical to
+//    its jobs-1 run — parallelism is never allowed to change results.
 //
 // Extra flags on top of the common set: --shards N (default: sweep 1,2,4,8),
 // --partition hash|range, and --no-cores-sweep to skip the cores × shards
@@ -93,9 +92,8 @@ void write_fleet_json(const BenchArgs& args, PartitionScheme partition,
     w.end_object();
   }
   w.end_array();
-  // Host-throughput scaling with worker threads (shard→worker pinning on;
-  // every combo verified bit-identical to its jobs-1 run before landing
-  // here).
+  // Host-throughput scaling with worker threads (every combo verified
+  // bit-identical to its jobs-1 run before landing here).
   w.key("cores_sweep");
   w.begin_array();
   for (const CoresCell& c : cores_cells) {
@@ -222,13 +220,12 @@ int main(int argc, char** argv) {
   std::vector<CoresCell> cores_cells;
   if (cores_sweep) {
     // Worker counts are thread counts, not physical cores: sweeping past
-    // hardware concurrency still validates pinning + determinism and shows
+    // hardware concurrency still validates determinism and shows
     // the (flat or negative) oversubscription regime on small hosts.
     const std::vector<unsigned> core_counts{1, 2, 4, 8};
     const unsigned hw = ThreadPool::default_threads();
     std::printf("(hardware concurrency: %u)\n", hw);
-    std::printf("-- cores x shards: host Mevents/s (Pipette, uniform; "
-                "pinned workers) --\n");
+    std::printf("-- cores x shards: host Mevents/s (Pipette, uniform) --\n");
     std::vector<std::string> headers{"Cores"};
     for (std::size_t shards : shard_counts)
       headers.push_back("x" + std::to_string(shards));

@@ -43,7 +43,7 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "common/bytes.h"
+#include "workload/zipf_slot.h"
 
 using namespace pipette;
 using namespace pipette::bench;
@@ -54,45 +54,6 @@ struct CellSpec {
   std::uint32_t mu;
   double write_ratio;
   bool wear;
-};
-
-/// The sweep's mix: reads are 512 B uniform over every slot of the file;
-/// writes are 512 B rewrites of Zipf(0.9)-popular slots, each rank hashed
-/// (stably, per seed) onto the slot space so the popular slots scatter
-/// across pages and blocks — see the file comment for why this shape
-/// isolates the mapping-unit effect.
-class ZipfSlotWorkload : public Workload {
- public:
-  ZipfSlotWorkload(std::uint64_t file_size, double write_ratio,
-                   std::uint64_t seed)
-      : rng_(seed), seed_(seed), write_ratio_(write_ratio) {
-    files_.push_back({"gc.dat", file_size});
-    slots_ = file_size / 512;
-  }
-
-  const std::vector<FileSpec>& files() const override { return files_; }
-
-  Request next() override {
-    const bool is_write =
-        write_ratio_ > 0.0 && rng_.next_bool(write_ratio_);
-    if (is_write) {
-      if (!zipf_) zipf_ = std::make_unique<ZipfGenerator>(slots_, 0.9);
-      const std::uint64_t rank = zipf_->sample(rng_);
-      const std::uint64_t slot = mix64(seed_ ^ rank) % slots_;
-      return {0, slot * 512, 512, true};
-    }
-    return {0, rng_.next_below(slots_) * 512, 512, false};
-  }
-
-  std::string name() const override { return "gc-zipf-slot"; }
-
- private:
-  std::vector<FileSpec> files_;
-  Rng rng_;
-  std::uint64_t seed_;
-  double write_ratio_;
-  std::uint64_t slots_ = 0;
-  std::unique_ptr<ZipfGenerator> zipf_;
 };
 
 // Small drive: 8 dies x 16 blocks x 32 pages (16 MiB) at 50% utilisation.

@@ -51,4 +51,20 @@ unsigned ThreadPool::default_threads() {
   return hw == 0 ? 1 : hw;
 }
 
+void parallel_for(std::size_t n, unsigned jobs,
+                  const std::function<void(std::size_t)>& body) {
+  if (jobs == 0) jobs = ThreadPool::default_threads();
+  const std::size_t workers = std::min<std::size_t>(jobs, n);
+  if (workers <= 1) {
+    for (std::size_t i = 0; i < n; ++i) body(i);
+    return;
+  }
+  ThreadPool pool(static_cast<unsigned>(workers));
+  std::vector<std::future<void>> pending;
+  pending.reserve(n);
+  for (std::size_t i = 0; i < n; ++i)
+    pending.push_back(pool.submit([&body, i] { body(i); }));
+  for (std::future<void>& f : pending) f.get();
+}
+
 }  // namespace pipette

@@ -45,4 +45,12 @@ class ThreadPool {
   bool stop_ = false;
 };
 
+/// Run body(i) for every i in [0, n) across min(jobs, n) workers (jobs == 0
+/// means default_threads()). With one worker the indices run serially, in
+/// order, on the calling thread; otherwise each index is one pool task,
+/// taken by whichever worker is free. Returns when every index has run and
+/// rethrows the first failure in index order.
+void parallel_for(std::size_t n, unsigned jobs,
+                  const std::function<void(std::size_t)>& body);
+
 }  // namespace pipette

@@ -3,10 +3,8 @@
 // compare and shuffle only the contiguous heap array, never the callbacks;
 // the callback slab is recycled through a free list.
 //
-// Events drain in exactly (when, seq) ascending order — the determinism
-// contract every golden trace pins — and pop_run() extracts an entire
-// same-timestamp run at once, so the simulator does not pay one re-sift per
-// event on burst-heavy schedules.
+// Events drain one at a time through pop_min() in exactly (when, seq)
+// ascending order — the determinism contract every golden trace pins.
 #pragma once
 
 #include <cstdint>
@@ -39,18 +37,6 @@ class EventQueue {
   /// recycled immediately, so the callback may push new events freely.
   void pop_min(SimTime& when, std::uint64_t& seq, Callback& cb);
 
-  /// Remove *every* event sharing the earliest timestamp in one operation,
-  /// appending the callbacks to `out` in ascending seq order; requires
-  /// !empty(). Returns the run length. Cheaper than run-length pop_min
-  /// calls: the heap restructures once per run, not once per event.
-  std::size_t pop_run(SimTime& when, std::vector<Callback>& out);
-
-  /// Release slab capacity retained above current occupancy. The callback
-  /// slab only ever grows with the high-water mark of pending events;
-  /// trimming between experiment cells hands that memory back. Never
-  /// changes drain order; pending events are untouched.
-  void trim();
-
   /// High-water mark of size() observed after any push (exported as
   /// `des.slab_peak`).
   std::size_t peak_size() const { return peak_size_; }
@@ -71,19 +57,11 @@ class EventQueue {
   }
   void sift_up(std::size_t pos);
   void sift_down(std::size_t pos);
-  /// Unlink the root, recycle its slab handle (its callback stays readable
-  /// until the next push) and restore the heap with one sift.
-  Entry remove_root();
 
   std::vector<Callback> nodes_;      // callback slab; index = stable handle
   std::vector<Entry> heap_;          // 4-ary heap of keyed entries
   std::vector<std::uint32_t> free_;  // recycled slab handles
   std::size_t peak_size_ = 0;
-
-  // pop_run scratch, reused across calls so batch extraction allocates
-  // nothing in steady state.
-  std::vector<std::uint32_t> run_pos_;  // heap positions of the current run
-  std::vector<Entry> run_entries_;      // the run's entries, sorted by seq
 };
 
 }  // namespace pipette

@@ -9,14 +9,12 @@
 // Hot-path design (see DESIGN.md "DES internals"): callbacks are
 // InlineFunction<void()> — move-only with a 48-byte small-buffer so typical
 // captures never heap-allocate — and the timer queue is the pooled 4-ary
-// heap in event_queue.h, held by value and drained one same-timestamp *run*
-// at a time: each run is extracted into a reusable buffer with a single
-// queue restructure, then executed without touching the queue until the
-// buffer empties.
+// heap in event_queue.h, held by value. Every run_* call is the same loop:
+// pop the earliest event, move the clock to it, run it. Nothing is buffered
+// outside the queue, so a callback may nest another run_* call freely.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "common/inline_function.h"
 #include "common/units.h"
@@ -66,22 +64,14 @@ class Simulator {
   /// Run events until `done` returns true (checked after each event).
   /// Returns false if the queue drained first. Templated so call sites pay
   /// neither a std::function construction nor an indirect predicate call.
-  /// A run interrupted mid-buffer stays buffered; the next run_* call (or a
-  /// nested one from inside a callback) resumes it, preserving exact
-  /// (when, seq) execution order.
   template <typename Pred>
   bool run_until_condition(Pred&& done) {
     if (done()) return true;
-    for (;;) {
-      if (!buffer_active()) {
-        if (queue_.empty()) return false;
-        refill_run();
-      }
-      while (buffer_active()) {
-        run_one();
-        if (done()) return true;
-      }
+    while (!queue_.empty()) {
+      run_next();
+      if (done()) return true;
     }
+    return false;
   }
 
   /// Deadline-bounded variant of run_until_condition: only events due at or
@@ -93,45 +83,30 @@ class Simulator {
   template <typename Pred>
   bool run_until_condition_before(Pred&& done, SimTime deadline) {
     if (done()) return true;
-    for (;;) {
-      if (!buffer_active()) {
-        if (queue_.empty() || queue_.min_when() > deadline) return false;
-        refill_run();
-      }
-      while (buffer_active() && run_when_ <= deadline) {
-        run_one();
-        if (done()) return true;
-      }
-      if (buffer_active()) return false;  // remainder is beyond the deadline
+    while (!queue_.empty() && queue_.min_when() <= deadline) {
+      run_next();
+      if (done()) return true;
     }
+    return false;
   }
 
-  std::size_t pending_events() const {
-    return queue_.size() + buffered_remaining();
-  }
+  std::size_t pending_events() const { return queue_.size(); }
   std::uint64_t events_executed() const { return executed_; }
 
   /// High-water mark of pending events (exported as the `des.slab_peak`
   /// metric — the callback slab grows exactly with it).
   std::size_t queue_peak_size() const { return queue_.peak_size(); }
 
-  /// Hand back slab capacity above current occupancy (between experiment
-  /// cells); never touches pending events or drain order.
-  void trim_queue() { queue_.trim(); }
-
  private:
-  bool buffer_active() const { return run_next_ < run_buf_.size(); }
-  std::size_t buffered_remaining() const {
-    return run_buf_.size() - run_next_;
-  }
-  /// Extract the next same-timestamp run into the buffer and advance the
-  /// clock to it. Requires an exhausted buffer and a non-empty queue.
-  void refill_run();
-  /// Execute the next buffered callback. The slot is released before the
-  /// call, so the callback may schedule, drain, or even refill freely.
-  void run_one() {
-    Callback cb = std::move(run_buf_[run_next_]);
-    ++run_next_;
+  /// Pop the earliest event, move the clock to it and run it; requires a
+  /// non-empty queue. The slot is released before the call, so the callback
+  /// may schedule or drain freely.
+  void run_next() {
+    SimTime when = 0;
+    std::uint64_t seq = 0;
+    Callback cb;
+    queue_.pop_min(when, seq, cb);
+    if (when > now_) now_ = when;
     ++executed_;
     cb();
   }
@@ -141,12 +116,6 @@ class Simulator {
   std::uint64_t executed_ = 0;
   EventQueue queue_;
   Tracer* tracer_ = nullptr;
-
-  // Current same-timestamp run, drained front to back. Capacity is reused
-  // across runs, so steady-state batch drains allocate nothing.
-  std::vector<Callback> run_buf_;
-  std::size_t run_next_ = 0;
-  SimTime run_when_ = 0;
 };
 
 }  // namespace pipette

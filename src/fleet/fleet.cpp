@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <compare>
-#include <future>
 #include <utility>
 
 #include "common/assert.h"
@@ -141,7 +140,7 @@ FleetResult FleetRunner::run(const RunConfig& run, unsigned jobs) const {
   std::vector<RunResult> machine_results(machines);
   std::vector<ClientReads> client_reads(machines);
 
-  auto run_machine = [&](std::size_t m, RunArena& arena) {
+  auto run_machine = [&](std::size_t m) {
     std::unique_ptr<Workload> master = make_workload_(seed_);
     PIPETTE_ASSERT_MSG(master != nullptr, "fleet workload factory failed");
     const Partitioner part(config_.partition, groups, master->files());
@@ -226,7 +225,7 @@ FleetResult FleetRunner::run(const RunConfig& run, unsigned jobs) const {
       }
       return true;
     };
-    RunResult result = run_experiment_on(machine, sub, plans[m], hooks, &arena);
+    RunResult result = run_experiment_on(machine, sub, plans[m], hooks);
     // Deferrals still parked when the stream ends (recovery lies beyond the
     // run) exhausted their backoff ladder without an answer: failures.
     for (const ReplicaAssignment& d : parked) {
@@ -239,30 +238,9 @@ FleetResult FleetRunner::run(const RunConfig& run, unsigned jobs) const {
     machine_results[m] = std::move(result);
   };
 
-  // Cache-local execution: machine m is pinned to worker m % workers, and
-  // each worker runs its machines in ascending order against one RunArena,
-  // so scratch pools stay warm in that worker's cache across machines. The
-  // assignment is a pure function of (machines, workers) — never of timing
-  // — so jobs-1 and jobs-N runs stay bit-identical (asserted by fleet_test).
-  if (jobs == 0) jobs = ThreadPool::default_threads();
-  const std::size_t workers = std::min<std::size_t>(jobs, machines);
-  if (workers <= 1) {
-    RunArena arena;
-    for (std::size_t m = 0; m < machines; ++m) run_machine(m, arena);
-  } else {
-    ThreadPool pool(static_cast<unsigned>(workers));
-    std::vector<RunArena> arenas(workers);
-    std::vector<std::future<void>> pending;
-    pending.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      pending.push_back(
-          pool.submit([&run_machine, &arenas, w, workers, machines] {
-            for (std::size_t m = w; m < machines; m += workers)
-              run_machine(m, arenas[w]);
-          }));
-    }
-    for (std::future<void>& f : pending) f.get();  // rethrows task failures
-  }
+  // Each machine writes only its own slots in machine_results and
+  // client_reads, so which worker runs it never changes the result.
+  parallel_for(machines, jobs, run_machine);
 
   // Client-side composition: serial, pure arithmetic. Singleton serves
   // merge bucket-wise; quorum legs are pooled, grouped by master index, and

@@ -12,7 +12,7 @@
 //                  replica groups.
 //  * FleetRunner — routes the master stream through a ReplicaRouter, runs
 //                  one Machine (and with it a private Simulator) per
-//                  machine id across a ThreadPool, and composes the
+//                  machine id through parallel_for, and composes the
 //                  client's view into a FleetResult.
 //
 // Determinism contract (what fleet_test pins):
@@ -185,7 +185,8 @@ class FleetRunner {
   /// measured — each machine receives its share of both phases (exact
   /// counts come from a counting pre-pass over the master stream). `jobs` =
   /// worker threads for fanning machines (0 = hardware concurrency, 1 =
-  /// serial); results are bit-identical at any job count.
+  /// serial on the calling thread; see parallel_for); results are
+  /// bit-identical at any job count.
   FleetResult run(const RunConfig& run, unsigned jobs = 0) const;
 
   const FleetConfig& config() const { return config_; }

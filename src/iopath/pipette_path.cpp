@@ -47,18 +47,6 @@ void PipettePath::reset_fgrc() {
   }
 }
 
-void PipettePath::adopt_lba_scratch(std::vector<LbaRange>&& scratch) {
-  if (scratch.capacity() > lba_scratch_.capacity())
-    lba_scratch_ = std::move(scratch);
-  lba_scratch_.clear();
-}
-
-std::vector<LbaRange> PipettePath::release_lba_scratch() {
-  std::vector<LbaRange> out = std::move(lba_scratch_);
-  lba_scratch_.clear();
-  return out;
-}
-
 bool PipettePath::await_completion() {
   const SimDuration guard = ssd_.config().faults.hmb.timeout;
   if (guard == 0) {

@@ -83,14 +83,6 @@ class PipettePath : public ReadPathBase {
   /// preserving cumulative statistics.
   void reset_fgrc();
 
-  /// Worker-arena support (cache-local fleet execution): a worker donates
-  /// its warm LBA scratch before a shard run and takes it back afterwards,
-  /// so capacity is reused across every shard the worker runs instead of
-  /// re-grown per machine. Scratch is content-free between requests; only
-  /// capacity moves, so behaviour is bit-identical with or without a donor.
-  void adopt_lba_scratch(std::vector<LbaRange>&& scratch);
-  std::vector<LbaRange> release_lba_scratch();
-
  private:
   enum class FineOutcome {
     kOk,        // request served through the intended route

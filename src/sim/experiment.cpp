@@ -1,6 +1,5 @@
 #include "sim/experiment.h"
 
-#include <algorithm>
 #include <chrono>
 #include <mutex>
 #include <vector>
@@ -17,38 +16,18 @@ RunResult run_experiment(const MachineConfig& config, Workload& workload,
 }
 
 RunResult run_experiment_on(Machine& machine, Workload& workload,
-                            const RunConfig& run) {
-  return run_experiment_on(machine, workload, run, RunHooks{}, nullptr);
-}
-
-RunResult run_experiment_on(Machine& machine, Workload& workload,
-                            const RunConfig& run, const RunHooks& hooks) {
-  return run_experiment_on(machine, workload, run, hooks, nullptr);
-}
-
-RunResult run_experiment_on(Machine& machine, Workload& workload,
                             const RunConfig& run, const RunHooks& hooks,
                             RunArena* arena) {
   const auto host_t0 = std::chrono::steady_clock::now();
   Vfs& vfs = machine.vfs();
 
-  // All per-run scratch lives in the arena; with a caller-provided one,
-  // capacity carries over from the previous run on this thread. Machines
-  // additionally adopt the arena's LBA/FgRange pools for the duration of
-  // the run (donated empty, returned empty — never simulated state).
-  RunArena local;
-  RunArena& a = arena != nullptr ? *arena : local;
-  if (arena != nullptr) {
-    machine.adopt_scratch(std::move(a.lba_scratch), std::move(a.fg_ranges));
-  }
-
-  std::vector<int>& fds = a.fds;
-  fds.clear();
+  std::vector<int> fds;
   for (const FileSpec& spec : workload.files()) {
     fds.push_back(vfs.open(spec.name, machine.open_flags(/*writable=*/true)));
   }
 
-  std::vector<std::uint8_t>& buf = a.io_buf;
+  std::vector<std::uint8_t> own_buf;
+  std::vector<std::uint8_t>& buf = arena != nullptr ? arena->io_buf : own_buf;
   buf.resize(64 * 1024);
   auto issue_direct = [&](const Request& req) {
     PIPETTE_ASSERT(req.len <= buf.size());
@@ -82,16 +61,9 @@ RunResult run_experiment_on(Machine& machine, Workload& workload,
   if (PageCache* pc = machine.page_cache()) pc0 = pc->stats().lookups;
   if (PipettePath* p = machine.pipette_path())
     fgrc0 = p->fgrc().stats().lookups;
-  // Copy-assignment into arena-held histogram buffers reuses their bucket
-  // storage, so a pinned worker snapshots warmup state without reallocating.
-  LatencyHistogram& lat0 = a.warmup_latency;
-  lat0 = machine.path().stats().read_latency;
-  std::vector<LatencyHistogram>& stage0 = a.warmup_stages;
-  if (Tracer* tracer = machine.tracer()) {
-    stage0 = tracer->stage_latency();
-  } else {
-    stage0.clear();
-  }
+  const LatencyHistogram lat0 = machine.path().stats().read_latency;
+  std::vector<LatencyHistogram> stage0;
+  if (Tracer* tracer = machine.tracer()) stage0 = tracer->stage_latency();
 
   // Sim-time series: sampled between requests, so the sampler only reads
   // counters the simulation maintains anyway and never perturbs it.
@@ -190,11 +162,6 @@ RunResult run_experiment_on(Machine& machine, Workload& workload,
     }
     result.trace_spans = tracer->take_spans();
   }
-  if (arena != nullptr) machine.release_scratch(a.lba_scratch, a.fg_ranges);
-  // Between cells the queue is (near-)empty; hand back whatever slab
-  // capacity the run's burstiest moment grew (high-water trimming — the
-  // peak itself is already recorded as des.slab_peak above).
-  machine.sim().trim_queue();
   result.host_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - host_t0)
           .count();
@@ -205,38 +172,17 @@ std::vector<RunResult> run_experiments_parallel(
     std::vector<ExperimentCell> cells, unsigned jobs,
     const CellDoneFn& on_cell_done) {
   std::vector<RunResult> results(cells.size());
-  if (jobs == 0) jobs = ThreadPool::default_threads();
-
-  auto run_cell = [&](std::size_t i) {
+  std::mutex done_mu;
+  parallel_for(cells.size(), jobs, [&](std::size_t i) {
     const ExperimentCell& cell = cells[i];
     std::unique_ptr<Workload> workload = cell.make_workload();
     PIPETTE_ASSERT_MSG(workload != nullptr, "cell workload factory failed");
     results[i] = run_experiment(cell.config, *workload, cell.run);
-  };
-
-  if (jobs == 1 || cells.size() <= 1) {
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      run_cell(i);
-      if (on_cell_done) on_cell_done(i, results[i]);
+    if (on_cell_done) {
+      std::lock_guard<std::mutex> lock(done_mu);
+      on_cell_done(i, results[i]);
     }
-    return results;
-  }
-
-  ThreadPool pool(
-      static_cast<unsigned>(std::min<std::size_t>(jobs, cells.size())));
-  std::mutex done_mu;
-  std::vector<std::future<void>> pending;
-  pending.reserve(cells.size());
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    pending.push_back(pool.submit([&, i] {
-      run_cell(i);
-      if (on_cell_done) {
-        std::lock_guard<std::mutex> lock(done_mu);
-        on_cell_done(i, results[i]);
-      }
-    }));
-  }
-  for (std::future<void>& f : pending) f.get();  // rethrows task failures
+  });
   return results;
 }
 

@@ -146,38 +146,25 @@ struct RunHooks {
   std::function<bool(const Request&, const IssueFn&)> on_request;
 };
 
+/// Caller-owned scratch for a run. Its one field is the request bounce
+/// buffer: the run sizes it and passes it to every Vfs call, so a caller
+/// that owns the arena (the repo benchmark does) can write a write's payload
+/// into `io_buf` before issuing the request and check a read's bytes after
+/// it.
+struct RunArena {
+  std::vector<std::uint8_t> io_buf;
+};
+
 /// The same warmup + measurement flow on a caller-owned machine. This is
 /// what the fleet layer drives: each fleet machine is its own Machine (and
 /// with it a private Simulator) and pushes its sub-stream through it. The
 /// machine is expected to be freshly built for `workload.files()`; reusing
 /// a machine across runs measures the second run against pre-warmed caches.
+/// `hooks.on_request` (when set) wraps every issued request; `arena` (when
+/// non-null) supplies the bounce buffer, otherwise the run owns one.
 RunResult run_experiment_on(Machine& machine, Workload& workload,
-                            const RunConfig& run);
-
-/// Hooked variant; `hooks.on_request` (when set) wraps every issued request.
-RunResult run_experiment_on(Machine& machine, Workload& workload,
-                            const RunConfig& run, const RunHooks& hooks);
-
-/// Reusable per-worker scratch for back-to-back runs on one thread (the
-/// fleet's pinned workers hand the same arena to every shard they run).
-/// Everything in here is capacity, not simulated state: the run clears each
-/// buffer before use and machines only ever see empty pools, so passing an
-/// arena changes allocation behaviour — one warm-up per worker instead of
-/// one per shard — and nothing else.
-struct RunArena {
-  std::vector<std::uint8_t> io_buf;             // request bounce buffer
-  std::vector<int> fds;                         // per-run fd table
-  LatencyHistogram warmup_latency;              // warmup snapshot scratch
-  std::vector<LatencyHistogram> warmup_stages;  // traced warmup snapshot
-  std::vector<LbaRange> lba_scratch;            // LBA-extractor scratch
-  std::vector<std::vector<FgRange>> fg_ranges;  // controller FgRange pool
-};
-
-/// Arena variant: identical results to the plain overloads (bit-for-bit,
-/// asserted by fleet_test), reusing `arena`'s capacity when non-null.
-RunResult run_experiment_on(Machine& machine, Workload& workload,
-                            const RunConfig& run, const RunHooks& hooks,
-                            RunArena* arena);
+                            const RunConfig& run, const RunHooks& hooks = {},
+                            RunArena* arena = nullptr);
 
 /// One independent cell of an experiment matrix. The workload is constructed
 /// *inside* the task (each cell gets a fresh, deterministically seeded
@@ -193,9 +180,9 @@ struct ExperimentCell {
 using CellDoneFn = std::function<void(std::size_t, const RunResult&)>;
 
 /// Run every cell and return results in cell order. `jobs` = worker threads
-/// (0 = hardware concurrency, 1 = legacy serial path with no pool). Results
-/// are bit-identical to the serial runner at any job count, except
-/// RunResult::host_seconds.
+/// (0 = hardware concurrency, 1 = serial on the calling thread; see
+/// parallel_for). Results are bit-identical to the serial runner at any job
+/// count, except RunResult::host_seconds.
 std::vector<RunResult> run_experiments_parallel(
     std::vector<ExperimentCell> cells, unsigned jobs = 0,
     const CellDoneFn& on_cell_done = nullptr);

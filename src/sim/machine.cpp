@@ -109,21 +109,6 @@ TwoBSsdPath* Machine::twob_path() {
              : nullptr;
 }
 
-void Machine::adopt_scratch(std::vector<LbaRange>&& lba,
-                            std::vector<std::vector<FgRange>>&& fg_pool) {
-  if (PipettePath* p = pipette_path()) p->adopt_lba_scratch(std::move(lba));
-  ssd_->adopt_fg_range_pool(std::move(fg_pool));
-}
-
-void Machine::release_scratch(std::vector<LbaRange>& lba,
-                              std::vector<std::vector<FgRange>>& fg_pool) {
-  if (PipettePath* p = pipette_path()) {
-    std::vector<LbaRange> got = p->release_lba_scratch();
-    if (got.capacity() > lba.capacity()) lba = std::move(got);
-  }
-  fg_pool = ssd_->release_fg_range_pool();
-}
-
 PageCache* Machine::page_cache() {
   if (BlockIoPath* b = block_path()) return &b->page_cache();
   if (PipettePath* p = pipette_path()) return &p->block_route().page_cache();

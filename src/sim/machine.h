@@ -63,16 +63,6 @@ class Machine {
   /// statistics are preserved.
   void cold_restart();
 
-  /// Worker-arena support (cache-local fleet execution): donate warm
-  /// per-request scratch (LBA-extractor scratch, controller FgRange pool)
-  /// before a run and reclaim it after, so a worker running several shards
-  /// back-to-back grows these pools once instead of once per machine.
-  /// Scratch holds no simulated state; adoption never changes results.
-  void adopt_scratch(std::vector<LbaRange>&& lba,
-                     std::vector<std::vector<FgRange>>&& fg_pool);
-  void release_scratch(std::vector<LbaRange>& lba,
-                       std::vector<std::vector<FgRange>>& fg_pool);
-
   /// The machine's tracer, or nullptr when config.trace.enabled is false.
   Tracer* tracer() { return tracer_.get(); }
 

@@ -129,18 +129,6 @@ std::vector<FgRange> SsdController::take_fg_ranges() {
   return out;
 }
 
-void SsdController::adopt_fg_range_pool(
-    std::vector<std::vector<FgRange>>&& pool) {
-  // Keep whichever pool is warmer; spares are empty either way.
-  if (pool.size() > fg_range_pool_.size()) fg_range_pool_ = std::move(pool);
-}
-
-std::vector<std::vector<FgRange>> SsdController::release_fg_range_pool() {
-  std::vector<std::vector<FgRange>> out = std::move(fg_range_pool_);
-  fg_range_pool_.clear();
-  return out;
-}
-
 void SsdController::recycle_fg_ranges(std::vector<FgRange>&& ranges) {
   if (ranges.capacity() == 0) return;
   ranges.clear();

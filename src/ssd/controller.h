@@ -172,13 +172,6 @@ class SsdController {
   /// account; obs/util.h).
   OccupancyIntegrator& gc_buffer_occupancy() { return gc_buffer_occ_; }
 
-  /// Worker-arena support (cache-local fleet execution): donate a warm
-  /// FgRange pool before a shard run / reclaim it afterwards, so one
-  /// worker's pool capacity serves every shard it runs. Pools hold only
-  /// empty spare vectors, so adoption cannot change simulated behaviour.
-  void adopt_fg_range_pool(std::vector<std::vector<FgRange>>&& pool);
-  std::vector<std::vector<FgRange>> release_fg_range_pool();
-
  private:
   // Every lambda the controller schedules on the simulator must stay under
   // the Simulator::Callback small-buffer limit, or each event heap-allocates

@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <future>
@@ -13,6 +14,7 @@
 #include <memory>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/bytes.h"
@@ -316,6 +318,43 @@ TEST(ThreadPool, AtLeastOneWorkerEvenWhenAskedForZero) {
   ThreadPool pool(0);
   EXPECT_EQ(pool.size(), 1u);
   EXPECT_GE(ThreadPool::default_threads(), 1u);
+}
+
+// --- parallel_for ---
+
+TEST(ParallelFor, RunsEveryIndexExactlyOnce) {
+  for (unsigned jobs : {1u, 3u, 8u}) {
+    std::array<std::atomic<int>, 5> ran{};
+    parallel_for(ran.size(), jobs, [&ran](std::size_t i) { ++ran[i]; });
+    for (std::size_t i = 0; i < ran.size(); ++i)
+      EXPECT_EQ(ran[i].load(), 1) << "jobs " << jobs << " index " << i;
+  }
+}
+
+TEST(ParallelFor, OneJobRunsInIndexOrderOnTheCallingThread) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  bool on_caller = true;
+  parallel_for(5, 1, [&](std::size_t i) {
+    order.push_back(i);
+    on_caller = on_caller && std::this_thread::get_id() == caller;
+  });
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+  EXPECT_TRUE(on_caller);
+}
+
+TEST(ParallelFor, BodyFailureRethrows) {
+  for (unsigned jobs : {1u, 3u}) {
+    std::atomic<int> ran{0};
+    EXPECT_THROW(parallel_for(5, jobs,
+                              [&ran](std::size_t i) {
+                                ++ran;
+                                if (i == 2) throw std::runtime_error("body");
+                              }),
+                 std::runtime_error)
+        << "jobs " << jobs;
+    EXPECT_GE(ran.load(), 3) << "jobs " << jobs;
+  }
 }
 
 // --- Pattern bytes ---

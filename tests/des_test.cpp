@@ -1,13 +1,12 @@
 // Tests for the discrete-event simulation core: ordering, determinism,
-// clock semantics, condition-driven execution, the pooled event queue (a
-// reference-model fuzz over pop_min and pop_run, batch extraction, trim),
-// and the allocation-free steady state of the hot loop.
+// clock semantics, condition- and deadline-driven execution, nested drains,
+// the pooled event queue (a reference-model fuzz over pop_min), and the
+// allocation-free steady state of the hot loop.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <bit>
 #include <cstdlib>
 #include <iterator>
 #include <new>
@@ -210,25 +209,6 @@ class ReferenceHarness {
     cb();
   }
 
-  /// Pops one whole same-timestamp run; returns its length. Both pops
-  /// require a non-empty queue.
-  std::size_t pop_run() {
-    const SimTime want_when = ref_.top().when;
-    std::size_t want_k = 0;
-    while (!ref_.empty() && ref_.top().when == want_when) {
-      take_ref();
-      ++want_k;
-    }
-    SimTime when = 0;
-    run_.clear();
-    const std::size_t k = queue_.pop_run(when, run_);
-    EXPECT_EQ(when, want_when);
-    EXPECT_EQ(k, want_k);
-    EXPECT_EQ(run_.size(), k);
-    for (EventQueue::Callback& cb : run_) cb();
-    return k;
-  }
-
   void expect_drained() const {
     EXPECT_TRUE(queue_.empty());
     EXPECT_TRUE(ref_.empty());
@@ -264,17 +244,12 @@ class ReferenceHarness {
   std::uint64_t next_seq_ = 0;
   std::size_t peak_ = 0;
   std::vector<std::uint64_t> got_, want_;
-  std::vector<EventQueue::Callback> run_;
 };
 
-// Randomized stress: duplicate-heavy timestamps through the 4-ary pooled
-// queue and the reference model, interleaving push bursts with pops drained
-// by both pop_min and pop_run. Execution order must be identical — this is
-// the determinism contract every experiment rests on.
-//
-// Phase 1: ~100k events, mostly short runs (pop_run's repeated-pop path).
-// Phase 2: long same-timestamp runs among few survivors, so pop_run takes
-// its compact-and-heapify batch path.
+// Randomized stress: ~100k duplicate-heavy timestamps through the 4-ary
+// pooled queue and the reference model, interleaving push bursts with
+// pop_min drains. Execution order must be identical — this is the
+// determinism contract every experiment rests on.
 TEST(EventQueue, MatchesReferencePriorityQueueUnderStress) {
   ReferenceHarness h;
   Rng rng(2024);
@@ -292,48 +267,17 @@ TEST(EventQueue, MatchesReferencePriorityQueueUnderStress) {
     const std::uint64_t pops = 1 + rng.next_below(8);
     for (std::uint64_t i = 0; i < pops && !h.empty(); ++i) {
       now = h.min_when();
-      if (rng.next_below(2) == 0) {
-        ASSERT_NO_FATAL_FAILURE(h.pop_min());
-      } else {
-        h.pop_run();
-      }
+      ASSERT_NO_FATAL_FAILURE(h.pop_min());
     }
   }
-
-  // Batch extraction pays off when the run is large against the survivors
-  // (see EventQueue::pop_run); count the runs that qualify so the phase
-  // provably reaches that path.
-  std::size_t batch_runs = 0;
-  for (int round = 0; round < 300; ++round) {
-    const std::uint64_t run = 32 + rng.next_below(256);
-    const std::uint64_t survivors = rng.next_below(12);
-    const SimTime run_when = now + 1 + rng.next_below(64);
-    for (std::uint64_t i = 0; i < run + survivors; ++i) {
-      // Interleave survivors among the run so seqs within the run are
-      // not contiguous.
-      const bool survivor = rng.next_below(run + survivors) < survivors;
-      h.push(survivor ? now + rng.next_below(256) : run_when);
-    }
-    // Drain through the run; survivors behind it stay queued.
-    while (!h.empty() && h.min_when() <= run_when) {
-      now = h.min_when();
-      const std::size_t n = h.size();
-      const std::size_t k = h.pop_run();
-      if (k > 1 && k * 2 * static_cast<std::size_t>(std::bit_width(n)) > n - k)
-        ++batch_runs;
-    }
-  }
-  while (!h.empty()) h.pop_run();
-  EXPECT_GT(batch_runs, 200u);
   h.expect_drained();
 }
 
 // Differential fuzz: one seeded push/pop script replayed against the queue
-// and the reference model, drained either one event at a time (pop_min) or
-// one timestamp run at a time (pop_run). Deltas are duplicate-heavy with
-// occasional far-future jumps, and pushes never precede the last popped
-// timestamp (the Simulator's schedule-in-the-future contract).
-void run_differential_script(std::uint64_t seed, bool use_pop_run) {
+// and the reference model. Deltas are duplicate-heavy with occasional
+// far-future jumps, and pushes never precede the last popped timestamp (the
+// Simulator's schedule-in-the-future contract).
+void run_differential_script(std::uint64_t seed) {
   static constexpr SimDuration kDeltas[] = {
       0, 0, 0, 1, 2, 480, 480, 3'200, 4'096, 65'000, 99'999,
       20'000'000, 40'000'000};
@@ -349,15 +293,10 @@ void run_differential_script(std::uint64_t seed, bool use_pop_run) {
     const std::uint64_t pops = rng.next_below(6);
     for (std::uint64_t q = 0; q < pops && !h.empty(); ++q) {
       now = h.min_when();
-      if (use_pop_run) {
-        h.pop_run();
-      } else {
-        ASSERT_NO_FATAL_FAILURE(h.pop_min());
-      }
+      ASSERT_NO_FATAL_FAILURE(h.pop_min());
     }
     ASSERT_EQ(h.queue().size(), h.size());
   }
-  // Drain the rest one event at a time.
   while (!h.empty()) {
     ASSERT_EQ(h.queue().min_when(), h.min_when());
     ASSERT_NO_FATAL_FAILURE(h.pop_min());
@@ -367,12 +306,7 @@ void run_differential_script(std::uint64_t seed, bool use_pop_run) {
 
 TEST(QueueDifferential, PopMinStreamsDrainIdentically) {
   for (std::uint64_t seed : {1ull, 7ull, 42ull, 1234567ull})
-    run_differential_script(seed, /*use_pop_run=*/false);
-}
-
-TEST(QueueDifferential, PopRunStreamsDrainIdentically) {
-  for (std::uint64_t seed : {2ull, 99ull, 424242ull})
-    run_differential_script(seed, /*use_pop_run=*/true);
+    run_differential_script(seed);
 }
 
 TEST(EventQueue, MinWhenTracksEarliestEvent) {
@@ -390,93 +324,86 @@ TEST(EventQueue, MinWhenTracksEarliestEvent) {
   EXPECT_EQ(queue.size(), 2u);
 }
 
-// trim() with events pending drops only the free handles at the slab's
-// tail. Handles follow push order, so the four latest events hold handles
-// {0, 2, 40, 41}: after 60 pops the trim must cut the free tail 42..63 but
-// keep the holes below 41. The survivors and fresh pushes (which reuse those
-// holes) must still reach their own callbacks.
-TEST(EventQueue, TrimKeepsPendingEventsAndPeak) {
-  EventQueue q;
-  std::vector<std::uint64_t> ran;
-  for (std::uint64_t i = 0; i < 64; ++i) {
-    const bool survivor = i == 0 || i == 2 || i == 40 || i == 41;
-    q.push(survivor ? 1000 + i : 100 - i, i, [&ran, i] { ran.push_back(i); });
-  }
-  SimTime when = 0;
-  std::uint64_t seq = 0;
-  EventQueue::Callback cb;
-  for (int i = 0; i < 60; ++i) q.pop_min(when, seq, cb);
-  q.trim();
-  EXPECT_EQ(q.size(), 4u);
-  EXPECT_EQ(q.peak_size(), 64u);
-
-  q.push(1001, 100, [&ran] { ran.push_back(100); });
-  q.push(2000, 101, [&ran] { ran.push_back(101); });
-  while (!q.empty()) {
-    q.pop_min(when, seq, cb);
-    cb();
-  }
-  EXPECT_EQ(ran, (std::vector<std::uint64_t>{0, 100, 2, 40, 41, 101}));
-  EXPECT_EQ(q.peak_size(), 64u);
-
-  q.trim();  // empty trim releases everything and stays usable
-  q.push(1, 99, [] {});
-  EXPECT_EQ(q.min_when(), 1u);
-}
-
-// EventQueue batch extraction: both the repeated-pop path (short runs) and
-// the compact+reheapify path (long runs) must yield ascending seq.
-TEST(EventQueueBatch, ShortAndLongRunsDrainInSeqOrder) {
-  EventQueue q;
-  std::vector<std::uint64_t> order;
-  std::uint64_t seq = 0;
-  // A long run at t=50 (200 events: the batch path) buried among 500
-  // later survivors, then a short run at t=60 (the repeated-pop path).
-  std::vector<std::pair<SimTime, std::uint64_t>> pushes;
-  for (int i = 0; i < 200; ++i) pushes.emplace_back(50, seq++);
-  for (int i = 0; i < 500; ++i) pushes.emplace_back(1000 + i, seq++);
-  for (int i = 0; i < 2; ++i) pushes.emplace_back(60, seq++);
-  // Shuffle deterministically so heap layout is nontrivial.
-  Rng rng(7);
-  for (std::size_t i = pushes.size(); i > 1; --i)
-    std::swap(pushes[i - 1], pushes[rng.next_below(i)]);
-  for (const auto& [when, s] : pushes)
-    q.push(when, s, [&order, s = s] { order.push_back(s); });
-
-  SimTime when = 0;
-  std::vector<EventQueue::Callback> run;
-  ASSERT_EQ(q.pop_run(when, run), 200u);
-  EXPECT_EQ(when, 50u);
-  run.clear();
-  ASSERT_EQ(q.pop_run(when, run), 2u);
-  EXPECT_EQ(when, 60u);
-  run.clear();
-  // Everything left drains in strict (when, seq) order.
-  SimTime prev = 0;
-  std::uint64_t prev_seq = 0;
-  while (!q.empty()) {
-    std::uint64_t s = 0;
-    EventQueue::Callback cb;
-    q.pop_min(when, s, cb);
-    EXPECT_TRUE(when > prev || (when == prev && s > prev_seq));
-    prev = when;
-    prev_seq = s;
-  }
-}
-
 TEST(SimulatorBatch, ConditionStopsMidRunAndResumesInOrder) {
   Simulator sim;
   std::vector<int> order;
   for (int i = 0; i < 5; ++i)
     sim.schedule_at(100, [&order, i] { order.push_back(i); });
   sim.schedule_at(200, [&order] { order.push_back(99); });
-  // Stop after the 2nd event of the 5-event run: the remaining 3 stay
-  // buffered and still count as pending.
+  // Stop after the 2nd of five same-timestamp events: the other 3 stay
+  // queued and run first on the next drain.
   EXPECT_TRUE(sim.run_until_condition([&order] { return order.size() == 2; }));
   EXPECT_EQ(sim.now(), 100u);
   EXPECT_EQ(sim.pending_events(), 4u);
   sim.run_all();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 99}));
+}
+
+// run_until_condition_before: every event due at or before the deadline
+// runs (including all ties exactly at it); on timeout it returns false with
+// the clock at the last executed event, and later events stay queued for
+// the next drain.
+TEST(Simulator, DeadlineDrainStopsAtDeadline) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule_at(40, [&order] { order.push_back(0); });
+  for (int i = 1; i <= 3; ++i)
+    sim.schedule_at(100, [&order, i] { order.push_back(i); });
+  sim.schedule_at(101, [&order] { order.push_back(4); });
+  sim.schedule_at(500, [&order] { order.push_back(5); });
+
+  EXPECT_FALSE(sim.run_until_condition_before([] { return false; }, 100));
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(sim.now(), 100u);
+  EXPECT_EQ(sim.pending_events(), 2u);
+
+  // A condition met before the deadline stops the drain there.
+  EXPECT_TRUE(sim.run_until_condition_before(
+      [&order] { return order.size() == 5; }, 1000));
+  EXPECT_EQ(sim.now(), 101u);
+  EXPECT_EQ(sim.pending_events(), 1u);
+
+  sim.run_all();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(sim.now(), 500u);
+}
+
+// A callback that itself drains (as the block layer and PipettePath do when
+// they wait for a completion) while same-timestamp siblings are pending:
+// the nested drain runs those siblings first, and the outer drain resumes
+// with whatever is left. Ids follow schedule order (the nested callback's
+// completion is scheduled last), so the executed (now, id) pairs must rise
+// strictly.
+TEST(Simulator, NestedDrainFromCallbackKeepsOrder) {
+  Simulator sim;
+  std::vector<std::pair<SimTime, int>> trace;
+  auto log = [&sim, &trace](int id) {
+    return [&sim, &trace, id] { trace.emplace_back(sim.now(), id); };
+  };
+  bool done = false;
+  sim.schedule_at(10, [&] {
+    trace.emplace_back(sim.now(), 0);
+    sim.schedule(5, [&done, &sim, &trace] {
+      trace.emplace_back(sim.now(), 7);
+      done = true;
+    });
+    EXPECT_TRUE(sim.run_until_condition([&done] { return done; }));
+    EXPECT_EQ(sim.now(), 15u);
+  });
+  sim.schedule_at(10, log(1));
+  sim.schedule_at(10, log(2));
+  sim.schedule_at(12, log(3));
+  sim.schedule_at(15, log(4));
+  sim.schedule_at(15, log(5));
+  sim.schedule_at(20, log(6));
+  sim.run_all();
+
+  const std::vector<std::pair<SimTime, int>> want = {
+      {10, 0}, {10, 1}, {10, 2}, {12, 3}, {15, 4}, {15, 5}, {15, 7}, {20, 6}};
+  EXPECT_EQ(trace, want);
+  for (std::size_t i = 1; i < trace.size(); ++i)
+    ASSERT_LT(trace[i - 1], trace[i]) << "at " << i;
+  EXPECT_EQ(sim.events_executed(), 8u);
 }
 
 // --- Allocation behaviour of the hot loop ---

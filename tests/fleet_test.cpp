@@ -56,9 +56,9 @@ TEST(Fleet, JobsOneEqualsJobsFour) {
   EXPECT_TRUE(deterministic_equal(serial, parallel));
 }
 
-// Non-divisor worker count: 5 shards pinned onto 3 workers gives uneven
-// slices ({0,3}, {1,4}, {2}), each worker reusing one RunArena across its
-// slice — still bit-identical to the serial run.
+// Non-divisor worker count: 5 shards on 3 workers, each shard taken by
+// whichever worker is free, so workers run uneven and timing-dependent
+// sets of shards — still bit-identical to the serial run.
 TEST(Fleet, NonDivisorWorkerCountIsDeterministic) {
   FleetRunner runner(small_fleet(5, PathKind::kPipette),
                      synth_factory('C', Distribution::kZipf), 42);
