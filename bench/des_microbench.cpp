@@ -30,7 +30,6 @@
 
 #include "bench_common.h"
 #include "common/inline_function.h"
-#include "pipette/detector.h"
 
 namespace {
 
@@ -154,53 +153,6 @@ bool selfcheck_order(std::uint64_t events) {
   return true;
 }
 
-// Detector hot path: record() folds each demanded range into the per-page
-// list with an in-place insertion-merge, so replaying a pattern the
-// detector has already absorbed must not grow any vector or insert any
-// page. The same deterministic script runs twice over one detector; the
-// second (steady-state) pass is timed and must add zero allocation events
-// — that's the tripwire for anyone reintroducing a per-access re-sort or
-// scratch vector.
-struct DetectorResult {
-  std::uint64_t records = 0;           // record() calls per pass
-  double warm_seconds = 0.0;           // steady-state pass host time
-  double records_per_sec = 0.0;
-  std::uint64_t steady_allocation_events = 0;  // must be 0
-};
-
-DetectorResult measure_detector(std::uint64_t records) {
-  FineGrainedAccessDetector det;
-  constexpr std::uint64_t kPages = 512;
-  DetectorResult r;
-  r.records = records;
-  for (int pass = 0; pass < 2; ++pass) {
-    std::uint64_t rng = 0x243f6a8885a308d3ull;  // same script both passes
-    auto next = [&rng] {
-      rng = rng * 6364136223846793005ull + 1442695040888963407ull;
-      return rng >> 33;
-    };
-    const std::uint64_t before = det.allocation_events();
-    const auto t0 = std::chrono::steady_clock::now();
-    for (std::uint64_t i = 0; i < records; ++i) {
-      const std::uint64_t page = next() % kPages;
-      const std::uint32_t offset =
-          static_cast<std::uint32_t>(next() % 31) * 128;
-      const std::uint32_t len = 64 + static_cast<std::uint32_t>(next() % 3) * 64;
-      det.record(/*file=*/1, page, offset, len);
-    }
-    const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    if (pass == 1) {
-      r.warm_seconds = seconds;
-      r.records_per_sec =
-          seconds > 0.0 ? static_cast<double>(records) / seconds : 0.0;
-      r.steady_allocation_events = det.allocation_events() - before;
-    }
-  }
-  return r;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -243,17 +195,6 @@ int main(int argc, char** argv) {
                  "heap; the SBO regressed\n");
   }
 
-  const DetectorResult det = measure_detector(
-      std::min<std::uint64_t>(raw_events, 1'000'000));
-  const bool detector_ok = det.steady_allocation_events == 0;
-  std::printf(
-      "detector       : %llu warm record()s in %.3fs -> %.0f records/sec "
-      "(%llu steady-state allocation events%s)\n",
-      static_cast<unsigned long long>(det.records), det.warm_seconds,
-      det.records_per_sec,
-      static_cast<unsigned long long>(det.steady_allocation_events),
-      detector_ok ? "" : " — REGRESSION");
-
   // Fixed cell (never rescaled by --quick/--requests: the point is a number
   // comparable across PRs).
   SyntheticConfig sc = table1_workload('E', Distribution::kUniform, 42);
@@ -294,13 +235,6 @@ int main(int argc, char** argv) {
     w.end_object();
   }
   w.end_array();
-  w.key("detector");
-  w.begin_object();
-  w.kv("records", det.records);
-  w.kv("warm_seconds", det.warm_seconds, 6);
-  w.kv("records_per_sec", det.records_per_sec, 0);
-  w.kv("steady_allocation_events", det.steady_allocation_events);
-  w.end_object();
   w.key("cell");
   w.begin_object();
   w.kv("system", "Pipette");
@@ -315,5 +249,5 @@ int main(int argc, char** argv) {
   w.end_object();
   if (!w.write_file(json_path)) return 1;
   std::printf("summary        : %s\n", json_path.c_str());
-  return (total_fallbacks == 0 && order_ok && detector_ok) ? 0 : 1;
+  return (total_fallbacks == 0 && order_ok) ? 0 : 1;
 }

@@ -28,8 +28,9 @@ int main(int argc, char** argv) {
   for (const FileSpec& f : workload.files())
     fds.push_back(machine.vfs().open(f.name, machine.open_flags(true)));
 
-  std::printf("Running %llu LinkBench-mix operations on a %u-node graph...\n",
-              static_cast<unsigned long long>(operations), lc.node_count);
+  std::printf("Running %llu LinkBench-mix operations on a %llu-node graph...\n",
+              static_cast<unsigned long long>(operations),
+              static_cast<unsigned long long>(lc.node_count));
 
   std::vector<std::uint8_t> buf(8192);
   std::uint64_t reads = 0, writes = 0;

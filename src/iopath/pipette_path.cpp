@@ -107,23 +107,12 @@ PipettePath::FineOutcome PipettePath::fine_read(FileId file,
                                                    : FineOutcome::kFailed;
   }
 
-  // Page-cache miss: the Detector verifies permission (already routed) and
-  // tracks which part of each page is demanded.
+  // Page-cache miss: the Detector verifies permission (already routed);
+  // its per-page range check is charged as detector_check.
   {
     TraceScope detector_scope(sim_, Stage::kDetector);
     sim_.advance(timing_.detector_check);
-    std::uint64_t pos = offset;
-    std::size_t left = out.size();
-    while (left > 0) {
-      const std::uint64_t page = pos / kBlockSize;
-      const std::uint32_t in_page =
-          static_cast<std::uint32_t>(pos % kBlockSize);
-      const std::uint32_t take = static_cast<std::uint32_t>(
-          std::min<std::uint64_t>(kBlockSize - in_page, left));
-      detector_.record(file, page, in_page, take);
-      pos += take;
-      left -= take;
-    }
+    detector_.record_access();
     if (prefetcher_ != nullptr) {
       pending_pred_ = detector_.observe(
           file, offset, static_cast<std::uint32_t>(out.size()));

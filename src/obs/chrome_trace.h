@@ -20,7 +20,7 @@ namespace pipette {
 struct ShardTrace {
   std::string label;
   std::vector<TraceSpan> spans;
-  std::vector<TimeSample> timeline;
+  std::vector<TimeSample> timeline{};
 };
 
 /// Renders the full JSON document ({"traceEvents": [...]}).

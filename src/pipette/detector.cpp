@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/assert.h"
 #include "fs/vfs.h"
 
 namespace pipette {
@@ -23,49 +22,6 @@ const char* to_string(StreamClass c) {
 
 bool FineGrainedAccessDetector::permitted(int open_flags) {
   return (open_flags & kOpenFineGrained) != 0;
-}
-
-std::size_t FineGrainedAccessDetector::record(FileId file, std::uint64_t page,
-                                              std::uint32_t offset,
-                                              std::uint32_t len) {
-  PIPETTE_ASSERT(len > 0 && offset + len <= kBlockSize);
-  ++fine_accesses_;
-  auto [page_it, inserted] = pages_.try_emplace(PageId{file, page});
-  std::vector<PageAccessRange>& ranges = page_it->second;
-  if (inserted) ++allocation_events_;
-  const std::size_t cap_before = ranges.capacity();
-
-  // In-place insertion-merge. Invariant on entry and exit: ranges are
-  // sorted by offset and disjoint with no two adjacent (for consecutive
-  // a, b: b.offset > a.offset + a.len). One lower_bound finds the insert
-  // point, the new range merges into its predecessor if it touches it, and
-  // then absorbs any following ranges it now reaches — no re-sort, no
-  // fresh vector, allocation-free once the page's capacity has warmed up.
-  auto it = std::lower_bound(
-      ranges.begin(), ranges.end(), offset,
-      [](const PageAccessRange& r, std::uint32_t o) { return r.offset < o; });
-  if (it != ranges.begin() &&
-      std::prev(it)->offset + std::prev(it)->len >= offset) {
-    --it;
-    const std::uint32_t end =
-        std::max(it->offset + it->len, offset + len);
-    it->len = end - it->offset;
-  } else {
-    it = ranges.insert(it, {offset, len});
-  }
-  const auto next = std::next(it);
-  auto last = next;
-  std::uint32_t end = it->offset + it->len;
-  while (last != ranges.end() && last->offset <= end) {
-    end = std::max(end, last->offset + last->len);
-    ++last;
-  }
-  if (last != next) {
-    it->len = end - it->offset;
-    ranges.erase(next, last);
-  }
-  if (ranges.capacity() != cap_before) ++allocation_events_;
-  return ranges.size();
 }
 
 StreamPrediction FineGrainedAccessDetector::observe(FileId file,
@@ -115,20 +71,6 @@ StreamPrediction FineGrainedAccessDetector::observe(FileId file,
   s.valid = true;
   ++stream_class_counts_[static_cast<std::size_t>(p.cls)];
   return p;
-}
-
-const std::vector<PageAccessRange>& FineGrainedAccessDetector::ranges(
-    FileId file, std::uint64_t page) const {
-  static const std::vector<PageAccessRange> kEmpty;
-  auto it = pages_.find(PageId{file, page});
-  return it == pages_.end() ? kEmpty : it->second;
-}
-
-double FineGrainedAccessDetector::demanded_fraction(FileId file,
-                                                    std::uint64_t page) const {
-  std::uint64_t bytes = 0;
-  for (const PageAccessRange& r : ranges(file, page)) bytes += r.len;
-  return static_cast<double>(bytes) / kBlockSize;
 }
 
 }  // namespace pipette

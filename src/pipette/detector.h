@@ -1,7 +1,9 @@
 // Fine-Grained Access Detector (paper §3.1.2): triggered on a page-cache
 // miss, it verifies that the file was opened with the byte-granular
-// datapath enabled (O_FINE_GRAINED) and maintains the access ranges per
-// page so Pipette can determine which part of each page is demanded.
+// datapath enabled (O_FINE_GRAINED). The paper's per-page access-range
+// tracking is represented by its cost alone: PipettePath charges
+// `detector_check` per fine-grained read, and nothing downstream reads the
+// ranges, so none are kept.
 //
 // The detector also hosts the per-file stream classifier feeding the
 // speculative prefetcher (arXiv 2109.05366's access-pattern taxonomy):
@@ -15,17 +17,11 @@
 #include <array>
 #include <cstdint>
 #include <unordered_map>
-#include <vector>
 
 #include "pipette/fg_key.h"
 #include "ssd/types.h"
 
 namespace pipette {
-
-struct PageAccessRange {
-  std::uint32_t offset = 0;  // within the page
-  std::uint32_t len = 0;
-};
 
 /// Stream label for one file's fine-grained access pattern.
 enum class StreamClass : std::uint8_t {
@@ -56,33 +52,17 @@ class FineGrainedAccessDetector {
   /// Permission check: byte-granular path requires the open flag.
   static bool permitted(int open_flags);
 
-  /// Record a demanded range of (file, page); overlapping/adjacent ranges
-  /// are coalesced. Returns the number of distinct ranges now tracked for
-  /// that page.
-  std::size_t record(FileId file, std::uint64_t page, std::uint32_t offset,
-                     std::uint32_t len);
-
-  /// Ranges demanded so far within (file, page).
-  const std::vector<PageAccessRange>& ranges(FileId file,
-                                             std::uint64_t page) const;
-
-  /// Fraction of the page's bytes ever demanded (diagnoses amplification).
-  double demanded_fraction(FileId file, std::uint64_t page) const;
+  /// Count one fine-grained read that passed the detector check.
+  void record_access() { ++fine_accesses_; }
 
   /// Stream classifier: fold one whole-request access (file-absolute offset)
   /// into the per-file stream state and return the updated verdict. Called
-  /// by the prefetcher's trigger path only — record() above stays the only
-  /// cost on the demand path when prefetching is off.
+  /// by the prefetcher's trigger path only, so the demand path pays nothing
+  /// for it when prefetching is off.
   StreamPrediction observe(FileId file, std::uint64_t offset,
                            std::uint32_t len);
 
   std::uint64_t fine_accesses() const { return fine_accesses_; }
-  std::uint64_t pages_tracked() const { return pages_.size(); }
-
-  /// Times record() grew a per-page vector or inserted a new page — the
-  /// steady-state allocation tripwire des_microbench asserts on (a warm
-  /// detector replaying a seen pattern must not bump this).
-  std::uint64_t allocation_events() const { return allocation_events_; }
 
   /// observe() verdict counts, indexed by StreamClass.
   const std::array<std::uint64_t, kStreamClassCount>& stream_class_counts()
@@ -114,22 +94,8 @@ class FineGrainedAccessDetector {
     bool valid = false;
   };
 
-  struct PageId {
-    FileId file;
-    std::uint64_t page;
-    bool operator==(const PageId&) const = default;
-  };
-  struct PageIdHash {
-    std::size_t operator()(const PageId& p) const {
-      return std::hash<std::uint64_t>()(
-          (static_cast<std::uint64_t>(p.file) << 44) ^ p.page);
-    }
-  };
-
-  std::unordered_map<PageId, std::vector<PageAccessRange>, PageIdHash> pages_;
   std::unordered_map<FileId, FileStream> streams_;
   std::uint64_t fine_accesses_ = 0;
-  std::uint64_t allocation_events_ = 0;
   std::array<std::uint64_t, kStreamClassCount> stream_class_counts_{};
 };
 

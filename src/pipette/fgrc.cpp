@@ -27,12 +27,11 @@ std::optional<std::span<const std::uint8_t>> FineGrainedReadCache::lookup(
     accesses_since_epoch_ = 0;
   }
 
-  auto it = index_.find(key);
-  if (it != index_.end()) {
+  if (const ItemLoc* loc = find_item(key)) {
     stats_.lookups.record(true);
     adaptive_.on_access(/*repeated=*/true);
-    store_.touch(it->second);
-    return store_.data(it->second);
+    store_.touch(*loc);
+    return store_.data(*loc);
   }
   stats_.lookups.record(false);
   adaptive_.on_access(/*repeated=*/ghosts_.seen(key));
@@ -94,7 +93,7 @@ bool FineGrainedReadCache::relieve_pressure(std::uint32_t cls) {
   // Evict the least recently used item within the requesting class.
   if (auto evicted = store_.evict_lru(cls)) {
     ++stats_.pressure_evictions;
-    remove_index_entry(evicted->first, evicted->second);
+    unindex_item(evicted->first, evicted->second);
     return true;
   }
   // Last resort: migrate even if eviction was preferred but impossible.
@@ -122,9 +121,7 @@ MissPlan FineGrainedReadCache::install_promotion(const FgKey& key,
   ++stats_.promotions;
   const std::uint32_t cls = store_.class_for(key.len);
   if (cls < stats_.class_promotions.size()) ++stats_.class_promotions[cls];
-  tables_[key.file].emplace(key.offset, loc);
-  const bool inserted = index_.emplace(key, loc).second;
-  PIPETTE_ASSERT_MSG(inserted, "promoting an already-cached key");
+  index_item(key, loc);
   MissPlan plan;
   plan.dest = store_.hmb_addr(loc);
   plan.promoted = true;
@@ -178,78 +175,156 @@ MissPlan FineGrainedReadCache::plan_speculative(const FgKey& key,
 void FineGrainedReadCache::abort_fill(const FgKey& key, const MissPlan& plan) {
   ++stats_.aborted_fills;
   if (!plan.promoted) return;  // TempBuf staging: nothing was reserved
-  remove_index_entry(key, plan.loc);
+  unindex_item(key, plan.loc);
   store_.free_item(plan.loc);
 }
 
-void FineGrainedReadCache::remove_index_entry(const FgKey& key, ItemLoc loc) {
-  index_.erase(key);
-  auto table_it = tables_.find(key.file);
-  PIPETTE_ASSERT(table_it != tables_.end());
-  auto [lo, hi] = table_it->second.equal_range(key.offset);
-  for (auto it = lo; it != hi; ++it) {
-    if (it->second == loc) {
-      table_it->second.erase(it);
-      return;
-    }
+const ItemLoc* FineGrainedReadCache::find_item(const FgKey& key) const {
+  const IndexRef* ref = index_.find(FgKeyHash{}(key), item_match(key));
+  return ref == nullptr ? nullptr : &ref->loc;
+}
+
+const FineGrainedReadCache::IndexRef* FineGrainedReadCache::find_page(
+    FileId file, std::uint64_t page) const {
+  return index_.find(FgKeyHash{}(page_key(file, page)),
+                     page_match(file, page));
+}
+
+void FineGrainedReadCache::index_item(const FgKey& key, ItemLoc loc) {
+  const bool inserted =
+      index_.emplace(FgKeyHash{}(key), {loc, false}, item_match(key)).second;
+  PIPETTE_ASSERT_MSG(inserted, "promoting an already-cached key");
+  // The new item becomes its page's chain head.
+  const std::uint64_t page = key.offset / kBlockSize;
+  const auto [head, fresh_page] =
+      index_.emplace(FgKeyHash{}(page_key(key.file, page)), {loc, true},
+                     page_match(key.file, page));
+  if (fresh_page) return;
+  store_.page_links(loc).next = head->loc;
+  store_.page_links(head->loc).prev = loc;
+  head->loc = loc;
+}
+
+void FineGrainedReadCache::unindex_item(const FgKey& key, ItemLoc loc) {
+  // Both entries are matched by location, never by reading a key, so this
+  // also works after the store freed the item.
+  const bool erased =
+      index_
+          .erase(FgKeyHash{}(key),
+                 [loc](const IndexRef& r) { return !r.page && r.loc == loc; })
+          .has_value();
+  PIPETTE_ASSERT_MSG(erased, "index entry missing for cached item");
+  const PageLinks links = store_.page_links(loc);
+  if (links.next.valid()) store_.page_links(links.next).prev = links.prev;
+  if (links.prev.valid()) {
+    store_.page_links(links.prev).next = links.next;
+    return;
   }
-  PIPETTE_ASSERT_MSG(false, "index entry missing for cached item");
+  // `loc` headed its page's chain: hand the page entry to the next item, or
+  // drop it with the page's last item.
+  const std::uint64_t page_hash =
+      FgKeyHash{}(page_key(key.file, key.offset / kBlockSize));
+  auto is_head = [loc](const IndexRef& r) { return r.page && r.loc == loc; };
+  bool found = false;
+  if (links.next.valid()) {
+    IndexRef* head = index_.find(page_hash, is_head);
+    found = head != nullptr;
+    if (found) head->loc = links.next;
+  } else {
+    found = index_.erase(page_hash, is_head).has_value();
+  }
+  PIPETTE_ASSERT_MSG(found, "page entry missing for chain head");
 }
 
 std::uint32_t FineGrainedReadCache::invalidate_range(FileId file,
                                                      std::uint64_t offset,
                                                      std::uint64_t len,
                                                      const FgKey* keep) {
-  auto table_it = tables_.find(file);
-  if (table_it == tables_.end()) return 0;
-  FileTable& table = table_it->second;
-  std::uint32_t removed = 0;
-  // Items are keyed by start offset; an overlapping item can start at most
+  // Items are indexed by start offset; an overlapping item can start at most
   // (max item size - 1) bytes before the write.
   const std::uint64_t max_len = config_.slab.class_sizes.back();
-  auto it = table.lower_bound(offset >= max_len ? offset - max_len : 0);
-  while (it != table.end() && it->first < offset + len) {
-    const FgKey k = store_.key(it->second);
-    const bool overlaps = k.offset < offset + len && offset < k.offset + k.len;
-    if (overlaps && !(keep != nullptr && k == *keep)) {
-      store_.free_item(it->second);
-      index_.erase(k);
-      it = table.erase(it);
-      ++removed;
-      ++stats_.invalidations;
-    } else {
-      ++it;
+  const std::uint64_t lo = offset >= max_len ? offset - max_len : 0;
+  const std::uint64_t end = offset + len;
+  doomed_.clear();
+  for (std::uint64_t page = lo / kBlockSize; page * kBlockSize < end;
+       ++page) {
+    const IndexRef* head = find_page(file, page);
+    if (head == nullptr) continue;
+    const auto first = static_cast<std::ptrdiff_t>(doomed_.size());
+    // The chain runs newest first. Inserting each item before every
+    // collected one with an equal or larger offset frees the page's items
+    // in ascending offset, oldest first among equal offsets: the order the
+    // free list (and so every later allocation) depends on.
+    for (ItemLoc it = head->loc; it.valid(); it = store_.page_links(it).next) {
+      const FgKey& k = store_.key(it);
+      const bool overlaps = k.offset >= lo && k.offset < end &&
+                            offset < k.offset + k.len;
+      if (!overlaps || (keep != nullptr && k == *keep)) continue;
+      const auto pos = std::lower_bound(
+          doomed_.begin() + first, doomed_.end(), k.offset,
+          [](const auto& d, std::uint64_t o) { return d.first < o; });
+      doomed_.emplace(pos, k.offset, it);
     }
+  }
+  for (const auto& [start, loc] : doomed_) {
+    unindex_item(store_.key(loc), loc);
+    store_.free_item(loc);
+    ++stats_.invalidations;
   }
   // Stale reference counts must not fast-track re-promotion of overwritten
   // data.
   ghosts_.forget({file, offset, static_cast<std::uint32_t>(len)});
-  return removed;
+  return static_cast<std::uint32_t>(doomed_.size());
 }
 
 bool FineGrainedReadCache::update_in_place(
     const FgKey& key, std::span<const std::uint8_t> data) {
   PIPETTE_ASSERT(data.size() == key.len);
-  auto it = index_.find(key);
-  if (it == index_.end()) return false;
-  auto dest = store_.mutable_data(it->second);
+  const ItemLoc* loc = find_item(key);
+  if (loc == nullptr) return false;
+  auto dest = store_.mutable_data(*loc);
   std::copy(data.begin(), data.end(), dest.begin());
-  store_.touch(it->second);
+  store_.touch(*loc);
   return true;
 }
 
 bool FineGrainedReadCache::index_consistent() const {
-  std::size_t table_entries = 0;
-  for (const auto& [file, table] : tables_) {
-    table_entries += table.size();
-    for (const auto& [offset, loc] : table) {
-      const FgKey k = store_.key(loc);
-      if (k.file != file || k.offset != offset) return false;
-      auto it = index_.find(k);
-      if (it == index_.end() || !(it->second == loc)) return false;
+  const std::uint64_t live = store_.stats().live_items;
+  std::uint64_t items = 0;
+  std::uint64_t chained = 0;
+  bool ok = true;
+  index_.for_each([&](const IndexRef& r) {
+    if (!ok) return;
+    if (!store_.live(r.loc)) {
+      ok = false;
+      return;
     }
-  }
-  return table_entries == index_.size();
+    const FgKey& k = store_.key(r.loc);
+    if (!r.page) {
+      ++items;
+      const ItemLoc* found = find_item(k);
+      ok = found != nullptr && *found == r.loc;
+      return;
+    }
+    const std::uint64_t page = k.offset / kBlockSize;
+    ok = find_page(k.file, page) == &r;
+    ItemLoc prev;
+    for (ItemLoc it = r.loc; ok && it.valid();
+         it = store_.page_links(it).next) {
+      ++chained;
+      if (chained > live || !store_.live(it) ||
+          !(store_.page_links(it).prev == prev)) {
+        ok = false;
+        break;
+      }
+      const FgKey& ck = store_.key(it);
+      const ItemLoc* found = find_item(ck);
+      ok = ck.file == k.file && ck.offset / kBlockSize == page &&
+           found != nullptr && *found == it;
+      prev = it;
+    }
+  });
+  return ok && items == chained && items == live;
 }
 
 void FineGrainedReadCache::run_reassignment_epoch() {

@@ -1,5 +1,5 @@
-// The Fine-Grained Read Cache (paper §3.2): per-file hash lookup tables in
-// front of the slab store, the adaptive promotion policy, the dynamic
+// The Fine-Grained Read Cache (paper §3.2): a lookup index in front of the
+// slab store, the adaptive promotion policy, the dynamic
 // allocation strategy (page cache vs FGRC hit-ratio arbitration under
 // memory pressure), and the adaptive slab reassignment performed by the
 // prototype's maintenance/re-balance threads.
@@ -9,14 +9,22 @@
 // at epoch boundaries counted in fine-grained accesses, which preserves the
 // mechanism (periodic inspection of per-class eviction counts, migration of
 // stagnant slabs back to the free pool) without nondeterministic timing.
+//
+// The paper's per-file hash lookup tables are one flat open-addressing
+// index keyed by FgKey. An item key (len > 0) maps to its ItemLoc; a page
+// key {file, page * kBlockSize, 0} maps to the newest item starting in that
+// page, the head of a chain threaded through the slab slots. Exact reads
+// take one probe; write invalidation walks the chains of the pages a write
+// can overlap.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <span>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
+#include "common/flat_index.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "pipette/adaptive.h"
@@ -81,9 +89,7 @@ class FineGrainedReadCache {
   /// Pure index probe — no hit/miss stats, no adaptive-threshold or epoch
   /// accounting. Used by the prefetcher to dedup speculative candidates
   /// without perturbing the demand path's statistics.
-  bool contains(const FgKey& key) const {
-    return index_.find(key) != index_.end();
-  }
+  bool contains(const FgKey& key) const { return find_item(key) != nullptr; }
 
   /// Placement for a *speculative* fill (prefetcher). Promotion reuses the
   /// AdaptiveThreshold verdict — classifier confidence stands in for the
@@ -130,8 +136,10 @@ class FineGrainedReadCache {
     return store_.data(loc);
   }
 
-  /// Invariant check (tests): the exact-match index and the offset-ordered
-  /// per-file tables describe the same set of live items.
+  /// Invariant check (tests): every item entry names a live slot holding
+  /// its key; every page entry heads its page's chain; chain links are
+  /// symmetric; each chain holds exactly the items starting in its page;
+  /// and the index holds as many items as the store has live.
   bool index_consistent() const;
 
   const FgrcStats& stats() const { return stats_; }
@@ -144,14 +152,34 @@ class FineGrainedReadCache {
   HmbAddr tempbuf_addr(std::uint32_t len);
 
  private:
-  // Per-file table: ordered by offset so write invalidation can find
-  // overlapping ranges without scanning the whole file's items. The exact
-  // read path (lookup/update_in_place) instead goes through `index_`, a
-  // hash map over full keys, so the per-request cost is one hash probe
-  // rather than an ordered-tree walk over equal_range.
-  using FileTable = std::multimap<std::uint64_t, ItemLoc>;
+  /// One index slot: an item (ItemLoc of that key) or a page (chain head).
+  struct IndexRef {
+    ItemLoc loc;
+    bool page = false;
+  };
 
-  void remove_index_entry(const FgKey& key, ItemLoc loc);
+  static FgKey page_key(FileId file, std::uint64_t page) {
+    return {file, page * kBlockSize, 0};
+  }
+  auto item_match(const FgKey& key) const {
+    return [this, &key](const IndexRef& r) {
+      return !r.page && store_.key(r.loc) == key;
+    };
+  }
+  auto page_match(FileId file, std::uint64_t page) const {
+    return [this, file, page](const IndexRef& r) {
+      if (!r.page) return false;
+      const FgKey& head = store_.key(r.loc);
+      return head.file == file && head.offset / kBlockSize == page;
+    };
+  }
+  const ItemLoc* find_item(const FgKey& key) const;
+  const IndexRef* find_page(FileId file, std::uint64_t page) const;
+  /// Add a freshly allocated item to the index and its page's chain.
+  void index_item(const FgKey& key, ItemLoc loc);
+  /// Drop an item from the index and its page's chain. Works on an item
+  /// the store has just freed, whose links are still intact.
+  void unindex_item(const FgKey& key, ItemLoc loc);
   bool relieve_pressure(std::uint32_t cls);
   void run_reassignment_epoch();
   /// Reserve a cache item for `key`, relieving pressure as needed.
@@ -167,8 +195,9 @@ class FineGrainedReadCache {
   AdaptiveThreshold adaptive_;
   ReferenceTracker ghosts_;
   const RatioCounter* page_cache_hits_;
-  std::unordered_map<FileId, FileTable> tables_;
-  std::unordered_map<FgKey, ItemLoc, FgKeyHash> index_;  // exact-match path
+  FlatIndex<IndexRef> index_;  // item and page keys
+  // invalidate_range scratch: (offset, item) in free order.
+  std::vector<std::pair<std::uint64_t, ItemLoc>> doomed_;
   FgrcStats stats_;
   Rng rng_{0xcafe};
   HmbAddr tempbuf_cursor_ = 0;

@@ -55,6 +55,20 @@ const SlabStore::Slot& SlabStore::slot(ItemLoc loc) const {
   return slabs_[loc.slab].slots[loc.slot];
 }
 
+void SlabStore::lru_push_front(SlabClass& sc, ItemLoc loc) {
+  Slot& s = slot(loc);
+  s.lru_prev = {};
+  s.lru_next = sc.lru_head;
+  (sc.lru_head.valid() ? slot(sc.lru_head).lru_prev : sc.lru_tail) = loc;
+  sc.lru_head = loc;
+}
+
+void SlabStore::lru_unlink(SlabClass& sc, ItemLoc loc) {
+  const Slot& s = slot(loc);
+  (s.lru_prev.valid() ? slot(s.lru_prev).lru_next : sc.lru_head) = s.lru_next;
+  (s.lru_next.valid() ? slot(s.lru_next).lru_prev : sc.lru_tail) = s.lru_prev;
+}
+
 bool SlabStore::take_free_slab(SlabClass& sc, std::uint32_t cls_idx) {
   if (free_pool_.empty()) return false;
   const HmbAddr base = free_pool_.back();
@@ -93,8 +107,9 @@ std::optional<ItemLoc> SlabStore::allocate(const FgKey& key) {
   PIPETTE_ASSERT(!s.live);
   s.key = key;
   s.live = true;
-  sc.lru.push_front(loc);
-  s.lru_it = sc.lru.begin();
+  s.page = {};
+  lru_push_front(sc, loc);
+  ++sc.live_items;
   ++slabs_[loc.slab].live_count;
   ++stats_.live_items;
   return loc;
@@ -103,8 +118,8 @@ std::optional<ItemLoc> SlabStore::allocate(const FgKey& key) {
 std::optional<std::pair<FgKey, ItemLoc>> SlabStore::evict_lru(
     std::uint32_t cls) {
   SlabClass& sc = classes_[cls];
-  if (sc.lru.empty()) return std::nullopt;
-  const ItemLoc victim = sc.lru.back();
+  if (!sc.lru_tail.valid()) return std::nullopt;
+  const ItemLoc victim = sc.lru_tail;
   const FgKey key = slot(victim).key;
   ++sc.evictions;
   ++stats_.evictions;
@@ -117,7 +132,8 @@ void SlabStore::free_item(ItemLoc loc) {
   PIPETTE_ASSERT(s.live);
   Slab& slab = slabs_[loc.slab];
   SlabClass& sc = classes_[slab.cls];
-  sc.lru.erase(s.lru_it);
+  lru_unlink(sc, loc);
+  --sc.live_items;
   s.live = false;
   --slab.live_count;
   --stats_.live_items;
@@ -209,7 +225,9 @@ void SlabStore::touch(ItemLoc loc) {
   Slot& s = slot(loc);
   PIPETTE_ASSERT(s.live);
   SlabClass& sc = classes_[slabs_[loc.slab].cls];
-  sc.lru.splice(sc.lru.begin(), sc.lru, s.lru_it);
+  if (sc.lru_head == loc) return;
+  lru_unlink(sc, loc);
+  lru_push_front(sc, loc);
 }
 
 std::span<const std::uint8_t> SlabStore::data(ItemLoc loc) const {
@@ -262,13 +280,19 @@ bool SlabStore::resident(ItemLoc loc) const {
   return slabs_[loc.slab].external == nullptr;
 }
 
+bool SlabStore::live(ItemLoc loc) const {
+  return loc.slab < slabs_.size() &&
+         loc.slot < slabs_[loc.slab].slots.size() &&
+         slabs_[loc.slab].slots[loc.slot].live;
+}
+
 SlabClassStats SlabStore::class_stats(std::uint32_t cls) const {
   PIPETTE_ASSERT(cls < classes_.size());
   const SlabClass& sc = classes_[cls];
   SlabClassStats st;
   st.item_size = sc.item_size;
   st.slabs = static_cast<std::uint32_t>(sc.slab_ids.size());
-  st.live_items = sc.lru.size();
+  st.live_items = sc.live_items;
   st.evictions = sc.evictions;
   return st;
 }

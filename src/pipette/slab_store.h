@@ -6,8 +6,10 @@
 // Data is stored in the smallest class that fits. Each class tracks the
 // start offset of the next free item in its last (open) slab, a cleanup
 // array of recycled item slots, a per-class LRU list of live items, and an
-// eviction count. When no free memory remains, the caller chooses between
-// the paper's two pressure actions:
+// eviction count. The LRU list is threaded through the slots themselves
+// (ItemLoc links), so no operation allocates a node per item. When no free
+// memory remains, the caller chooses between the paper's two pressure
+// actions:
 //   1. evict_lru()       — recycle the class's least recently used item;
 //   2. externalize_slab()— migrate one slab of another class out of the
 //                          shared region (its data moves to host memory
@@ -18,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <optional>
 #include <span>
@@ -49,6 +50,14 @@ struct ItemLoc {
 
   bool operator==(const ItemLoc&) const = default;
   bool valid() const { return slab != ~0u; }
+};
+
+/// Links the store keeps in each slot on behalf of its owner (the FGRC
+/// threads its per-page item chains through them). allocate() resets them;
+/// free_item() leaves them intact until the slot is reallocated.
+struct PageLinks {
+  ItemLoc prev;
+  ItemLoc next;
 };
 
 struct SlabClassStats {
@@ -111,6 +120,11 @@ class SlabStore {
 
   const FgKey& key(ItemLoc loc) const;
   bool resident(ItemLoc loc) const;
+  /// True if `loc` names an allocated, not yet freed item.
+  bool live(ItemLoc loc) const;
+
+  PageLinks& page_links(ItemLoc loc) { return slot(loc).page; }
+  const PageLinks& page_links(ItemLoc loc) const { return slot(loc).page; }
 
   std::uint32_t classes() const {
     return static_cast<std::uint32_t>(config_.class_sizes.size());
@@ -130,7 +144,9 @@ class SlabStore {
   struct Slot {
     FgKey key;
     bool live = false;
-    std::list<ItemLoc>::iterator lru_it;
+    ItemLoc lru_prev;  // towards MRU
+    ItemLoc lru_next;  // towards LRU
+    PageLinks page;
   };
   struct Slab {
     std::uint32_t cls = ~0u;
@@ -146,12 +162,16 @@ class SlabStore {
     std::uint32_t open_slab = ~0u;        // slab with fresh slots left
     std::uint32_t next_fresh = 0;         // next never-used slot in open slab
     std::vector<ItemLoc> cleanup;         // recycled (free) resident slots
-    std::list<ItemLoc> lru;               // front = MRU
+    ItemLoc lru_head;                     // MRU
+    ItemLoc lru_tail;                     // LRU, the next victim
+    std::uint64_t live_items = 0;
     std::uint64_t evictions = 0;
   };
 
   Slot& slot(ItemLoc loc);
   const Slot& slot(ItemLoc loc) const;
+  void lru_push_front(SlabClass& sc, ItemLoc loc);
+  void lru_unlink(SlabClass& sc, ItemLoc loc);
   bool take_free_slab(SlabClass& sc, std::uint32_t cls_idx);
   bool externalize(std::uint32_t cls_idx, std::uint32_t slab_id);
 

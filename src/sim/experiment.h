@@ -27,7 +27,7 @@ namespace pipette {
 struct RunConfig {
   std::uint64_t requests = 500'000;  // measured requests
   std::uint64_t warmup = 250'000;    // cache-warming requests (not measured)
-  TimelineConfig timeline;           // sim-time series sampling (off = {})
+  TimelineConfig timeline{};         // sim-time series sampling (off = {})
 };
 
 struct RunResult {

@@ -116,7 +116,9 @@ TEST(MergeProperty, CoversExactlyTheInputSet) {
     bool first = true;
     for (const auto& [start, count] : BlockLayer::merge(lbas)) {
       ASSERT_GT(count, 0u);
-      if (!first) ASSERT_GT(start, prev_end);  // ascending, non-adjacent
+      if (!first) {
+        ASSERT_GT(start, prev_end);  // ascending, non-adjacent
+      }
       first = false;
       prev_end = start + count - 1;
       for (std::uint32_t i = 0; i < count; ++i) {

@@ -320,17 +320,14 @@ TEST(Pipette, NoCacheRoutesLargeReadsFineToo) {
   EXPECT_EQ(m.io_traffic_bytes(), static_cast<std::uint64_t>(kBlockSize));
 }
 
-TEST(Pipette, DetectorTracksDemandedRanges) {
+TEST(Pipette, DetectorCountsFineAccesses) {
   const auto files = one_file();
   Machine m(tiny_machine(PathKind::kPipette), files);
   const int fd = m.vfs().open("data.bin", m.open_flags(false));
-  const FileId file = m.vfs().file_of(fd);
   std::vector<std::uint8_t> buf(128);
   m.vfs().pread(fd, 0, {buf.data(), buf.size()});
   m.vfs().pread(fd, 2048, {buf.data(), buf.size()});
-  const auto& det = m.pipette_path()->detector();
-  EXPECT_EQ(det.ranges(file, 0).size(), 2u);
-  EXPECT_DOUBLE_EQ(det.demanded_fraction(file, 0), 256.0 / kBlockSize);
+  EXPECT_EQ(m.pipette_path()->detector().fine_accesses(), 2u);
 }
 
 // --- Fine-grained write extension ---

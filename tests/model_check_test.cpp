@@ -62,6 +62,24 @@ class ReferenceLru {
     return order_.back();
   }
 
+  /// MRU-to-LRU contents.
+  std::vector<std::pair<int, int>> entries() const {
+    return {order_.begin(), order_.end()};
+  }
+
+  /// Entries a shrink evicts, in eviction order.
+  std::vector<std::pair<int, int>> set_capacity(std::size_t capacity) {
+    capacity_ = capacity;
+    std::vector<std::pair<int, int>> evicted;
+    while (order_.size() > capacity_) {
+      evicted.push_back(order_.back());
+      order_.pop_back();
+    }
+    return evicted;
+  }
+
+  void clear() { order_.clear(); }
+
  private:
   std::size_t capacity_;
   std::list<std::pair<int, int>> order_;
@@ -69,16 +87,44 @@ class ReferenceLru {
 
 class LruModelCheck : public ::testing::TestWithParam<std::size_t> {};
 
+std::vector<std::pair<int, int>> dut_entries(LruMap<int, int>& dut) {
+  std::vector<std::pair<int, int>> out;
+  dut.for_each([&out](int key, int value) { out.emplace_back(key, value); });
+  return out;
+}
+
 TEST_P(LruModelCheck, RandomOpsMatchReference) {
   const std::size_t capacity = GetParam();
   LruMap<int, int> dut(capacity);
   ReferenceLru ref(capacity);
   Rng rng(capacity * 7919 + 3);
+  int resizes = 0, clears = 0;
 
   for (int op = 0; op < 30000; ++op) {
     const int key = static_cast<int>(rng.next_below(capacity * 3 + 5));
     const double dice = rng.next_double();
-    if (dice < 0.45) {
+    if (op % 1000 == 999) {  // periodic full-order check, MRU to LRU
+      ASSERT_EQ(dut_entries(dut), ref.entries()) << "op " << op;
+    }
+    if (dice >= 0.97) {  // rare whole-map ops, then a full-order check
+      if (dice < 0.99) {  // resize; a shrink evicts LRU-first
+        const std::size_t cap = 1 + rng.next_below(2 * capacity);
+        std::vector<std::pair<int, int>> evicted;
+        dut.set_capacity(cap, [&evicted](int k, int v) {
+          evicted.emplace_back(k, v);
+        });
+        ASSERT_EQ(evicted, ref.set_capacity(cap)) << "op " << op;
+        ASSERT_EQ(dut.capacity(), cap);
+        ++resizes;
+      } else if (dice < 0.9905) {  // drop everything, keep going
+        dut.clear();
+        ref.clear();
+        ASSERT_TRUE(dut.empty());
+        ASSERT_EQ(dut.lru(), nullptr);
+        ++clears;
+      }
+      ASSERT_EQ(dut_entries(dut), ref.entries()) << "op " << op;
+    } else if (dice < 0.45) {
       const int value = op;
       const auto ev_dut = dut.insert(key, value);
       const auto ev_ref = ref.insert(key, value);
@@ -91,7 +137,9 @@ TEST_P(LruModelCheck, RandomOpsMatchReference) {
       int* d = dut.find(key);
       int* r = ref.find(key);
       ASSERT_EQ(d != nullptr, r != nullptr);
-      if (d) ASSERT_EQ(*d, *r);
+      if (d) {
+        ASSERT_EQ(*d, *r);
+      }
     } else if (dice < 0.95) {
       ASSERT_EQ(dut.erase(key), ref.erase(key));
     } else {
@@ -105,6 +153,23 @@ TEST_P(LruModelCheck, RandomOpsMatchReference) {
     }
     ASSERT_EQ(dut.size(), ref.size());
   }
+  EXPECT_GT(resizes, 0);
+  EXPECT_GT(clears, 0);
+}
+
+// A V* must survive the node pool and the index growing underneath it.
+TEST(LruMapPool, ValuePointerStableAcrossOtherInserts) {
+  LruMap<int, std::uint64_t> map(4096);
+  map.insert(-1, 0xfeed);
+  std::uint64_t* value = map.find(-1);
+  ASSERT_NE(value, nullptr);
+  for (int k = 0; k < 1000; ++k) {
+    map.insert(k, static_cast<std::uint64_t>(k));
+    ASSERT_EQ(map.peek(-1), value) << "after " << k + 1 << " inserts";
+  }
+  EXPECT_EQ(*value, 0xfeedu);
+  *value = 7;
+  EXPECT_EQ(*map.find(-1), 7u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Capacities, LruModelCheck,

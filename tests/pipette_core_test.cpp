@@ -2,11 +2,15 @@
 // LRU eviction, cleanup arrays, slab migration), the adaptive caching
 // threshold, the ghost reference tracker, the detector/dispatcher, and the
 // FGRC facade (promotion, TempBuf, invalidation, dynamic allocation,
-// reassignment).
+// reassignment), and a differential fuzz of the FGRC's flat index against
+// the multimap + hash-map index it replaced.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <optional>
 #include <set>
+#include <unordered_map>
 #include <vector>
 
 #include "common/bytes.h"
@@ -296,23 +300,6 @@ TEST(Detector, PermissionRequiresFlag) {
   EXPECT_TRUE(
       FineGrainedAccessDetector::permitted(kOpenRead | kOpenFineGrained));
   EXPECT_FALSE(FineGrainedAccessDetector::permitted(kOpenRead));
-}
-
-TEST(Detector, RecordsAndCoalescesRanges) {
-  FineGrainedAccessDetector d;
-  EXPECT_EQ(d.record(1, 0, 0, 128), 1u);
-  EXPECT_EQ(d.record(1, 0, 256, 128), 2u);
-  EXPECT_EQ(d.record(1, 0, 128, 128), 1u);  // bridges the gap
-  EXPECT_EQ(d.ranges(1, 0).size(), 1u);
-  EXPECT_EQ(d.ranges(1, 0)[0].len, 384u);
-  EXPECT_EQ(d.fine_accesses(), 3u);
-}
-
-TEST(Detector, DemandedFraction) {
-  FineGrainedAccessDetector d;
-  d.record(1, 5, 0, 1024);
-  EXPECT_DOUBLE_EQ(d.demanded_fraction(1, 5), 0.25);
-  EXPECT_DOUBLE_EQ(d.demanded_fraction(1, 6), 0.0);
 }
 
 TEST(Dispatcher, RoutesBySizeFlagAndAlignment) {
@@ -650,6 +637,232 @@ TEST_F(FgrcFixture, MemoryUsageTracksSlabs) {
   cache.plan_miss({1, 0, 64});
   EXPECT_EQ(cache.memory_bytes(), small_slabs().slab_size);
 }
+
+// --- FGRC index vs the multimap + hash-map index it replaced ---
+
+// The FGRC's former index in front of its own SlabStore: per-file
+// multimaps ordered by offset (promotion order among equal offsets) plus an
+// exact-match hash map. It makes the cache's placement decisions for
+// adaptive.enabled = false, reassign.enabled = false and the two fixed
+// pressure policies, so every ItemLoc it hands out must match the cache's.
+class ReferenceFgrc {
+ public:
+  ReferenceFgrc(Hmb& hmb, const FgrcConfig& config)
+      : config_(config),
+        store_(hmb, config.slab),
+        ghosts_(config.adaptive.ghost_capacity) {}
+
+  bool lookup(const FgKey& key) {
+    auto it = index_.find(key);
+    if (it == index_.end()) return false;
+    store_.touch(it->second);
+    return true;
+  }
+  bool contains(const FgKey& key) const { return index_.count(key) != 0; }
+
+  MissPlan plan_miss(const FgKey& key) {
+    if (ghosts_.record(key) < threshold()) return {};
+    return promote(key);
+  }
+  MissPlan plan_speculative(const FgKey& key, std::uint32_t confidence) {
+    if (confidence < threshold()) return {};
+    return promote(key);
+  }
+  void abort_fill(const FgKey& key, const MissPlan& plan) {
+    if (!plan.promoted) return;
+    remove(key, plan.loc);
+    store_.free_item(plan.loc);
+  }
+
+  std::uint32_t invalidate_range(FileId file, std::uint64_t offset,
+                                 std::uint64_t len, const FgKey* keep) {
+    std::uint32_t removed = 0;
+    auto table_it = tables_.find(file);
+    if (table_it != tables_.end()) {
+      FileTable& table = table_it->second;
+      const std::uint64_t max_len = config_.slab.class_sizes.back();
+      auto it = table.lower_bound(offset >= max_len ? offset - max_len : 0);
+      while (it != table.end() && it->first < offset + len) {
+        const FgKey k = store_.key(it->second);
+        const bool overlaps =
+            k.offset < offset + len && offset < k.offset + k.len;
+        if (overlaps && !(keep != nullptr && k == *keep)) {
+          store_.free_item(it->second);
+          index_.erase(k);
+          it = table.erase(it);
+          ++removed;
+        } else {
+          ++it;
+        }
+      }
+    }
+    ghosts_.forget({file, offset, static_cast<std::uint32_t>(len)});
+    return removed;
+  }
+
+  bool update_in_place(const FgKey& key) {
+    auto it = index_.find(key);
+    if (it == index_.end()) return false;
+    store_.touch(it->second);
+    return true;
+  }
+
+  const SlabStore& store() const { return store_; }
+
+ private:
+  using FileTable = std::multimap<std::uint64_t, ItemLoc>;
+
+  std::uint32_t threshold() const {
+    return config_.adaptive.initial_threshold;
+  }
+
+  MissPlan promote(const FgKey& key) {
+    const std::uint32_t cls = store_.class_for(key.len);
+    std::optional<ItemLoc> loc = store_.allocate(key);
+    while (!loc && relieve(cls)) loc = store_.allocate(key);
+    if (!loc) return {};
+    ghosts_.forget(key);
+    tables_[key.file].emplace(key.offset, *loc);
+    index_.emplace(key, *loc);
+    MissPlan plan;
+    plan.promoted = true;
+    plan.loc = *loc;
+    return plan;
+  }
+
+  bool relieve(std::uint32_t cls) {
+    if (config_.policy == PressurePolicy::kAlwaysMigrate &&
+        store_.externalize_slab(cls, rng_)) {
+      return true;
+    }
+    if (auto evicted = store_.evict_lru(cls)) {
+      remove(evicted->first, evicted->second);
+      return true;
+    }
+    return store_.externalize_slab(cls, rng_);
+  }
+
+  void remove(const FgKey& key, ItemLoc loc) {
+    index_.erase(key);
+    auto [lo, hi] = tables_.at(key.file).equal_range(key.offset);
+    for (auto it = lo; it != hi; ++it) {
+      if (it->second == loc) {
+        tables_.at(key.file).erase(it);
+        return;
+      }
+    }
+    FAIL() << "reference lost an item";
+  }
+
+  FgrcConfig config_;
+  SlabStore store_;
+  ReferenceTracker ghosts_;
+  std::unordered_map<FileId, FileTable> tables_;
+  std::unordered_map<FgKey, ItemLoc, FgKeyHash> index_;
+  Rng rng_{0xcafe};  // the cache's pressure-relief seed
+};
+
+class FgrcDifferential : public ::testing::TestWithParam<PressurePolicy> {};
+
+TEST_P(FgrcDifferential, MatchesMultimapReference) {
+  FgrcConfig cfg = facade_config();
+  cfg.adaptive.initial_threshold = 2;
+  cfg.adaptive.max_threshold = 4;
+  cfg.adaptive.ghost_capacity = 1024;
+  cfg.policy = GetParam();
+  // Four 8 KiB slabs for three classes: pressure relief runs often.
+  Hmb hmb{small_layout(32 * 1024)};
+  Hmb ref_hmb{small_layout(32 * 1024)};
+  FineGrainedReadCache cache(hmb, cfg, nullptr);
+  cache.enable_speculative_staging();
+  ReferenceFgrc ref(ref_hmb, cfg);
+
+  // Sixteen pages of two files, 64-byte-aligned starts and lengths that share
+  // slab classes, so pages hold several items and equal offsets recur with
+  // different lengths.
+  constexpr std::uint32_t kLens[] = {48, 64, 100, 128, 1000};
+  Rng rng(0xd1ff + static_cast<std::uint64_t>(GetParam()));
+  auto random_key = [&rng, &kLens] {
+    return FgKey{static_cast<FileId>(1 + rng.next_below(2)),
+                 rng.next_below(16 * kBlockSize / 64) * 64,
+                 kLens[rng.next_below(std::size(kLens))]};
+  };
+  auto same_plan = [](const MissPlan& got, const MissPlan& want) {
+    return got.promoted == want.promoted &&
+           (!got.promoted || got.loc == want.loc);
+  };
+  const std::vector<std::uint8_t> payload(1024, 0x5a);
+  std::uint64_t promotions = 0, removed = 0, aborted = 0;
+
+  for (int op = 0; op < 40000; ++op) {
+    const FgKey key = random_key();
+    const double dice = rng.next_double();
+    if (dice < 0.6) {  // demand read: lookup, then plan the miss
+      const bool hit = cache.lookup(key).has_value();
+      ASSERT_EQ(hit, ref.lookup(key)) << "op " << op;
+      if (!hit) {
+        const MissPlan got = cache.plan_miss(key);
+        const MissPlan want = ref.plan_miss(key);
+        ASSERT_TRUE(same_plan(got, want)) << "op " << op;
+        promotions += got.promoted;
+        if (got.promoted && rng.next_bool(0.1)) {
+          cache.abort_fill(key, got);
+          ref.abort_fill(key, want);
+          ++aborted;
+        }
+      }
+    } else if (dice < 0.7) {  // speculative fill of an uncached key
+      ASSERT_EQ(cache.contains(key), ref.contains(key)) << "op " << op;
+      if (!cache.contains(key)) {
+        const auto confidence = static_cast<std::uint32_t>(rng.next_below(4));
+        const MissPlan got = cache.plan_speculative(key, confidence);
+        const MissPlan want = ref.plan_speculative(key, confidence);
+        ASSERT_TRUE(same_plan(got, want)) << "op " << op;
+        promotions += got.promoted;
+        if (got.promoted && rng.next_bool(0.1)) {
+          cache.abort_fill(key, got);
+          ref.abort_fill(key, want);
+          ++aborted;
+        }
+      }
+    } else if (dice < 0.8) {  // write invalidation, sometimes keeping key
+      const std::uint64_t offset = rng.next_below(17 * kBlockSize);
+      const std::uint64_t len = 1 + rng.next_below(1000);
+      const FgKey* keep = rng.next_bool(0.3) ? &key : nullptr;
+      const std::uint32_t n =
+          cache.invalidate_range(key.file, offset, len, keep);
+      ASSERT_EQ(n, ref.invalidate_range(key.file, offset, len, keep))
+          << "op " << op;
+      removed += n;
+    } else {  // fine-grained write of an exact key
+      ASSERT_EQ(cache.update_in_place(key, {payload.data(), key.len}),
+                ref.update_in_place(key))
+          << "op " << op;
+    }
+    ASSERT_TRUE(cache.index_consistent()) << "op " << op;
+    ASSERT_EQ(cache.store().stats().live_items,
+              ref.store().stats().live_items)
+        << "op " << op;
+  }
+  // The run must have exercised every path it claims to check.
+  const SlabStoreStats& st = cache.store().stats();
+  EXPECT_GT(promotions, 3000u);
+  EXPECT_GT(removed, 2000u);
+  EXPECT_GT(aborted, 200u);
+  EXPECT_GT(st.evictions + st.migrations, 100u);
+  if (GetParam() == PressurePolicy::kAlwaysMigrate) {
+    EXPECT_GT(st.migrations, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Policies, FgrcDifferential,
+                         ::testing::Values(PressurePolicy::kAlwaysEvict,
+                                           PressurePolicy::kAlwaysMigrate),
+                         [](const auto& info) {
+                           return info.param == PressurePolicy::kAlwaysEvict
+                                      ? std::string("AlwaysEvict")
+                                      : std::string("AlwaysMigrate");
+                         });
 
 }  // namespace
 }  // namespace pipette

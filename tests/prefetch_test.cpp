@@ -1,17 +1,14 @@
 // Tests for the speculative readahead prefetcher and the LMB interconnect
-// backend: the detector's in-place insertion-merge (fuzzed against a
-// re-sort reference, and allocation-free once warm), the stream classifier
-// verdicts, speculative placement via plan_speculative, the Info-ring's
-// out-of-order release, the end-to-end latency win on structured streams,
-// clean degradation under HMB faults, and the bit-identity tripwires that
-// pin prefetch-off + kHmb runs to pre-prefetcher history.
+// backend: the stream classifier verdicts, speculative placement via
+// plan_speculative, the Info-ring's out-of-order release, the end-to-end
+// latency win on structured streams, clean degradation under HMB faults,
+// and the bit-identity tripwires that pin prefetch-off + kHmb runs to
+// pre-prefetcher history.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
-#include "common/rng.h"
 #include "pipette/detector.h"
 #include "pipette/fgrc.h"
 #include "sim/experiment.h"
@@ -20,79 +17,6 @@
 
 namespace pipette {
 namespace {
-
-// --- Detector: in-place insertion-merge -------------------------------
-
-// Reference coalescer: append, re-sort, merge touching ranges — the
-// O(n log n)-per-access behaviour the hot path replaced. The fuzz below
-// pins the in-place version to it.
-std::vector<PageAccessRange> reference_merge(
-    std::vector<PageAccessRange> ranges, std::uint32_t offset,
-    std::uint32_t len) {
-  ranges.push_back({offset, len});
-  std::sort(ranges.begin(), ranges.end(),
-            [](const PageAccessRange& a, const PageAccessRange& b) {
-              return a.offset < b.offset;
-            });
-  std::vector<PageAccessRange> merged;
-  for (const PageAccessRange& r : ranges) {
-    if (!merged.empty() &&
-        merged.back().offset + merged.back().len >= r.offset) {
-      const std::uint32_t end =
-          std::max(merged.back().offset + merged.back().len, r.offset + r.len);
-      merged.back().len = end - merged.back().offset;
-    } else {
-      merged.push_back(r);
-    }
-  }
-  return merged;
-}
-
-TEST(DetectorMerge, FuzzAgainstReSortReference) {
-  Rng rng(0x5eed);
-  FineGrainedAccessDetector det;
-  std::vector<PageAccessRange> ref;
-  for (int i = 0; i < 20'000; ++i) {
-    const auto offset = static_cast<std::uint32_t>(rng.next_below(4096 - 1));
-    const auto len = static_cast<std::uint32_t>(
-        1 + rng.next_below(std::min<std::uint64_t>(256, 4096 - offset)));
-    ref = reference_merge(std::move(ref), offset, len);
-    const std::size_t n = det.record(7, 3, offset, len);
-    ASSERT_EQ(n, ref.size()) << "at access " << i;
-  }
-  const std::vector<PageAccessRange>& got = det.ranges(7, 3);
-  ASSERT_EQ(got.size(), ref.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].offset, ref[i].offset);
-    EXPECT_EQ(got[i].len, ref[i].len);
-  }
-  // Exit invariant: sorted, disjoint, no two adjacent.
-  for (std::size_t i = 1; i < got.size(); ++i)
-    EXPECT_GT(got[i].offset, got[i - 1].offset + got[i - 1].len);
-}
-
-TEST(DetectorMerge, SteadyStateIsAllocationFree) {
-  FineGrainedAccessDetector det;
-  // Deterministic script over a handful of pages; two passes. The second
-  // replays offsets the per-page vectors have already grown to hold, so it
-  // must not add a single allocation event.
-  auto replay = [&det] {
-    std::uint64_t x = 0x243f6a8885a308d3ull;
-    for (int i = 0; i < 50'000; ++i) {
-      x = x * 6364136223846793005ull + 1442695040888963407ull;
-      const std::uint64_t page = (x >> 33) % 64;
-      const auto offset = static_cast<std::uint32_t>(((x >> 13) % 31) * 128);
-      const auto len = static_cast<std::uint32_t>(64 + (x % 3) * 64);
-      det.record(1, page, offset, len);
-    }
-  };
-  replay();
-  const std::uint64_t warm = det.allocation_events();
-  replay();
-  EXPECT_EQ(det.allocation_events(), warm)
-      << "a warm detector re-recording a seen pattern allocated — did a "
-         "per-access re-sort or scratch vector sneak back into record()?";
-}
 
 // --- Stream classifier --------------------------------------------------
 

@@ -8,7 +8,8 @@
 //    arbitrary orders.
 //  * Slab-store stress — random allocate/free/evict/touch/migrate
 //    sequences under several geometries; checks address disjointness,
-//    bookkeeping, and data survival across migration.
+//    bookkeeping, data survival across migration, and each class's LRU
+//    order against a std::list per class.
 //  * Path-equivalence sweep — all five systems return identical bytes for
 //    every request size.
 //  * Fleet partitioners — hash and range cover every shard, map each key to
@@ -17,7 +18,9 @@
 //    over a 10k-draw window.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <list>
 #include <map>
 #include <unordered_set>
 #include <vector>
@@ -193,6 +196,17 @@ TEST_P(SlabStress, RandomOpsPreserveInvariants) {
   std::map<std::uint64_t, ItemLoc> live;  // key.offset -> loc
   std::uint64_t next_offset = 0;
   std::uint64_t expected_live = 0;
+  // Reference recency per class: front = MRU, back = the next victim.
+  std::vector<std::list<ItemLoc>> lru(store.classes());
+  auto lru_of = [&](ItemLoc loc) -> std::list<ItemLoc>& {
+    return lru[store.class_for(store.key(loc).len)];
+  };
+  auto drop = [&](std::list<ItemLoc>& order, ItemLoc loc) {
+    auto it = std::find(order.begin(), order.end(), loc);
+    ASSERT_NE(it, order.end());
+    order.erase(it);
+  };
+  std::uint64_t evictions = 0;
 
   for (int op = 0; op < 20000; ++op) {
     const double dice = rng.next_double();
@@ -205,6 +219,7 @@ TEST_P(SlabStress, RandomOpsPreserveInvariants) {
       if (auto loc = store.allocate(key)) {
         live.emplace(key.offset, *loc);
         ++expected_live;
+        lru_of(*loc).push_front(*loc);
         // Address sanity: resident items land inside the Data Area, on an
         // item-size boundary.
         const HmbAddr addr = store.hmb_addr(*loc);
@@ -215,6 +230,7 @@ TEST_P(SlabStress, RandomOpsPreserveInvariants) {
       // Free a pseudo-random live item.
       auto it = live.begin();
       std::advance(it, static_cast<long>(rng.next_below(live.size())));
+      drop(lru_of(it->second), it->second);
       store.free_item(it->second);
       live.erase(it);
       --expected_live;
@@ -224,13 +240,22 @@ TEST_P(SlabStress, RandomOpsPreserveInvariants) {
       std::advance(it, static_cast<long>(rng.next_below(live.size())));
       store.touch(it->second);
       ASSERT_EQ(store.key(it->second).offset, it->first);
+      std::list<ItemLoc>& order = lru_of(it->second);
+      drop(order, it->second);
+      order.push_front(it->second);
     } else if (dice < 0.97) {
       // Evict from a random class; drop it from our model if it evicted.
       const std::uint32_t cls = static_cast<std::uint32_t>(
           rng.next_below(store.classes()));
       if (auto evicted = store.evict_lru(cls)) {
+        ASSERT_FALSE(lru[cls].empty());
+        ASSERT_EQ(evicted->second, lru[cls].back()) << "op " << op;
+        lru[cls].pop_back();
         ASSERT_EQ(live.erase(evicted->first.offset), 1u);
         --expected_live;
+        ++evictions;
+      } else {
+        ASSERT_TRUE(lru[cls].empty());
       }
     } else {
       // Migrate a slab out.
@@ -239,7 +264,12 @@ TEST_P(SlabStress, RandomOpsPreserveInvariants) {
                              rng);
     }
     ASSERT_EQ(store.stats().live_items, expected_live);
+    for (std::uint32_t c = 0; c < store.classes(); ++c) {
+      ASSERT_EQ(store.class_stats(c).live_items, lru[c].size())
+          << "class " << c << " op " << op;
+    }
   }
+  EXPECT_GT(evictions, 100u);
 
   // Every tracked item is still addressable and carries its key.
   for (const auto& [offset, loc] : live) {

@@ -285,7 +285,9 @@ TEST(LinkBench, DegreeIsStablePerNode) {
     const Request r = w.next();
     if (w.last_op() != GraphOp::kGetLinkList) continue;
     auto [it, fresh] = degree.emplace(r.offset, r.len);
-    if (!fresh) EXPECT_EQ(it->second, r.len);
+    if (!fresh) {
+      EXPECT_EQ(it->second, r.len);
+    }
   }
 }
 
