@@ -3,6 +3,7 @@
 // nanoseconds, not simulated time).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/lru.h"
@@ -99,10 +100,12 @@ BENCHMARK(BM_FgrcInvalidateRange);
 
 void BM_PageCacheLookup(benchmark::State& state) {
   PageCache cache(64ull * 1024 * 1024);
-  std::vector<std::uint8_t> page(kBlockSize, 1);
   const std::uint64_t pages = 10'000;
-  for (std::uint64_t p = 0; p < pages; ++p)
-    cache.insert({1, p}, page.data(), true);
+  for (std::uint64_t p = 0; p < pages; ++p) {
+    std::uint8_t* frame = cache.frames().take();
+    std::fill_n(frame, kBlockSize, std::uint8_t{1});
+    cache.insert({1, p}, frame, true);
+  }
   Rng rng(9);
   for (auto _ : state) {
     benchmark::DoNotOptimize(cache.lookup({1, rng.next_below(pages)}));

@@ -6,108 +6,113 @@
 
 namespace pipette {
 
-std::vector<std::pair<Lba, std::uint32_t>> BlockLayer::merge(
-    std::vector<Lba> lbas) {
-  std::vector<std::pair<Lba, std::uint32_t>> runs;
-  if (lbas.empty()) return runs;
-  std::sort(lbas.begin(), lbas.end());
-  lbas.erase(std::unique(lbas.begin(), lbas.end()), lbas.end());
-  runs.emplace_back(lbas[0], 1);
-  for (std::size_t i = 1; i < lbas.size(); ++i) {
-    auto& [start, count] = runs.back();
-    if (lbas[i] == start + count) {
-      ++count;
+void BlockLayer::merge(std::vector<PageRead>& pages,
+                       std::vector<ReadRun>& runs) {
+  runs.clear();
+  if (pages.empty()) return;
+  std::sort(pages.begin(), pages.end(),
+            [](const PageRead& a, const PageRead& b) {
+              return a.lba != b.lba ? a.lba < b.lba : a.tag < b.tag;
+            });
+  pages.erase(std::unique(pages.begin(), pages.end(),
+                          [](const PageRead& a, const PageRead& b) {
+                            return a.lba == b.lba;
+                          }),
+              pages.end());
+  runs.push_back({pages[0].lba, 1, 0});
+  for (std::size_t i = 1; i < pages.size(); ++i) {
+    ReadRun& run = runs.back();
+    if (pages[i].lba == run.start + run.count) {
+      ++run.count;
     } else {
-      runs.emplace_back(lbas[i], 1);
+      runs.push_back({pages[i].lba, 1, static_cast<std::uint32_t>(i)});
     }
   }
-  return runs;
 }
 
-bool BlockLayer::read_pages(
-    std::vector<Lba> lbas,
-    const std::function<void(Lba, const std::uint8_t*)>& sink) {
-  if (lbas.empty()) return true;
-  stats_.page_requests += lbas.size();
-  const auto runs = merge(std::move(lbas));
-  stats_.merged_requests += runs.size();
-
+void BlockLayer::prepare(Batch& batch, std::span<const PageRead> pages,
+                         FramePool& frames) {
+  stats_.page_requests += pages.size();
+  batch.pages.assign(pages.begin(), pages.end());
+  merge(batch.pages, batch.runs);
+  stats_.merged_requests += batch.runs.size();
+  batch.frames.clear();
+  for (std::size_t i = 0; i < batch.pages.size(); ++i)
+    batch.frames.push_back(frames.take());
+  batch.runs_left = batch.runs.size();
   // Per-request block-layer CPU cost is serial (one submitting thread).
-  sim_.advance(timing_.block_layer_per_request * runs.size());
+  sim_.advance(timing_.block_layer_per_request * batch.runs.size());
+}
 
-  // One scratch buffer per run; commands are in flight concurrently.
-  struct Pending {
-    Lba start;
-    std::uint32_t count;
-    bool ok = true;
-    std::vector<std::uint8_t> buf;
-  };
-  std::vector<Pending> pending(runs.size());
-  std::size_t remaining = runs.size();
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    pending[i].start = runs[i].first;
-    pending[i].count = runs[i].second;
-    pending[i].buf.resize(static_cast<std::size_t>(runs[i].second) *
-                          kBlockSize);
-    Command cmd;
-    cmd.op = Opcode::kRead;
-    cmd.lba = runs[i].first;
-    cmd.nlb = runs[i].second;
-    cmd.host_dest = {pending[i].buf.data(), pending[i].buf.size()};
-    // Two pointers: stays within std::function's 16-byte inline buffer.
-    ssd_.submit(std::move(cmd),
-                [p = &pending[i], &remaining](const CommandResult& r) {
-                  p->ok = r.status == CmdStatus::kOk;
-                  --remaining;
-                });
+void BlockLayer::submit_run(const Batch& batch, std::size_t r,
+                            SsdController::Completion done) {
+  const ReadRun& run = batch.runs[r];
+  Command cmd;
+  cmd.op = Opcode::kRead;
+  cmd.lba = run.start;
+  cmd.nlb = run.count;
+  cmd.host_pages = std::span<std::uint8_t* const>(batch.frames)
+                       .subspan(run.first, run.count);
+  ssd_.submit(std::move(cmd), std::move(done));
+}
+
+void BlockLayer::issue_sync(std::span<const PageRead> pages,
+                            FramePool& frames) {
+  prepare(sync_, pages, frames);
+  sync_.run_ok.assign(sync_.runs.size(), true);
+  // Commands are in flight concurrently. Two words of capture stay within
+  // std::function's inline buffer.
+  for (std::size_t r = 0; r < sync_.runs.size(); ++r) {
+    submit_run(sync_, r, [this, r](const CommandResult& res) {
+      sync_.run_ok[r] = res.status == CmdStatus::kOk;
+      --sync_.runs_left;
+    });
   }
   const bool done =
-      sim_.run_until_condition([&remaining] { return remaining == 0; });
+      sim_.run_until_condition([this] { return sync_.runs_left == 0; });
   PIPETTE_ASSERT_MSG(done, "device never completed block reads");
-
-  bool all_ok = true;
-  for (const Pending& p : pending) {
-    if (!p.ok) {
-      all_ok = false;
-      continue;  // media error: the run's payload never arrived
-    }
-    for (std::uint32_t b = 0; b < p.count; ++b)
-      sink(p.start + b, p.buf.data() + static_cast<std::size_t>(b) * kBlockSize);
-  }
-  return all_ok;
 }
 
-void BlockLayer::read_pages_async(
-    std::vector<Lba> lbas,
-    std::function<void(Lba, const std::uint8_t*)> sink) {
-  if (lbas.empty()) return;
-  stats_.page_requests += lbas.size();
-  const auto runs = merge(std::move(lbas));
-  stats_.merged_requests += runs.size();
-  sim_.advance(timing_.block_layer_per_request * runs.size());
+void BlockLayer::read_pages_async(std::span<const PageRead> pages,
+                                  FramePool& frames, AsyncSink sink) {
+  if (pages.empty()) return;
+  Batch* batch;
+  if (!async_free_.empty()) {
+    batch = async_free_.back();
+    async_free_.pop_back();
+  } else {
+    async_pool_.push_back(std::make_unique<Batch>());
+    batch = async_pool_.back().get();
+  }
+  prepare(*batch, pages, frames);
+  batch->layer = this;
+  batch->pool = &frames;
+  batch->sink = std::move(sink);
+  for (std::size_t r = 0; r < batch->runs.size(); ++r) {
+    submit_run(*batch, r,
+               [batch, r = static_cast<std::uint32_t>(r)](
+                   const CommandResult& res) {
+                 finish_async_run(batch, r, res.status == CmdStatus::kOk);
+               });
+  }
+}
 
-  auto shared_sink =
-      std::make_shared<std::function<void(Lba, const std::uint8_t*)>>(
-          std::move(sink));
-  for (const auto& [start, count] : runs) {
-    auto buf = std::make_shared<std::vector<std::uint8_t>>(
-        static_cast<std::size_t>(count) * kBlockSize);
-    Command cmd;
-    cmd.op = Opcode::kRead;
-    cmd.lba = start;
-    cmd.nlb = count;
-    cmd.host_dest = {buf->data(), buf->size()};
-    const Lba run_start = start;
-    const std::uint32_t run_count = count;
-    ssd_.submit(std::move(cmd), [shared_sink, buf, run_start,
-                                 run_count](const CommandResult& r) {
-      const bool ok = r.status == CmdStatus::kOk;
-      for (std::uint32_t b = 0; b < run_count; ++b)
-        (*shared_sink)(run_start + b,
-                       ok ? buf->data() +
-                                static_cast<std::size_t>(b) * kBlockSize
-                          : nullptr);
-    });
+void BlockLayer::finish_async_run(Batch* batch, std::uint32_t r, bool ok) {
+  const ReadRun run = batch->runs[r];
+  for (std::uint32_t i = run.first; i < run.first + run.count; ++i) {
+    std::uint8_t* frame = batch->frames[i];
+    if (!ok) {
+      batch->pool->give_back(frame);
+      frame = nullptr;
+    }
+    batch->sink(batch->pages[i], frame);
+  }
+  // Decrement only after delivering: a sink's writeback may run the
+  // simulator and complete this batch's other runs, and the batch must
+  // stay live until this loop is done with it.
+  if (--batch->runs_left == 0) {
+    batch->sink = nullptr;
+    batch->layer->async_free_.push_back(batch);
   }
 }
 

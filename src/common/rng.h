@@ -12,10 +12,16 @@ namespace pipette {
 
 /// SplitMix64: used to expand a single 64-bit seed into xoshiro state, and
 /// as a cheap stateless hash for deterministic synthetic data content.
-std::uint64_t splitmix64(std::uint64_t& state);
+/// Defined here so the pattern synthesis loops (common/bytes.cpp) inline it.
+inline std::uint64_t splitmix64(std::uint64_t& state) {
+  std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
 
 /// Stateless mixing function (one SplitMix64 round on `x`).
-std::uint64_t mix64(std::uint64_t x);
+inline std::uint64_t mix64(std::uint64_t x) { return splitmix64(x); }
 
 /// xoshiro256** 1.0 by Blackman & Vigna — fast, high-quality, deterministic.
 class Rng {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <unordered_map>
 
 #include "common/assert.h"
 #include "obs/trace.h"
@@ -18,76 +17,69 @@ BlockIoPath::BlockIoPath(Simulator& sim, SsdController& ssd, FileSystem& fs,
   // Dirty evictions write back through the block layer (reclaim stall is
   // charged to whoever triggered the eviction, as in the kernel).
   cache_.set_writeback([this](const PageKey& key, const std::uint8_t* data) {
-    std::vector<LbaRange> ranges;
-    fs_.extract_lbas(key.file_id, key.page * kBlockSize, kBlockSize, ranges);
-    PIPETTE_ASSERT(ranges.size() == 1);
-    block_layer_.write_page(ranges[0].lba, data);
+    block_layer_.write_page(page_lba(key.file_id, key.page), data);
   });
 }
 
-bool BlockIoPath::fetch_pages(FileId file,
-                              const std::vector<std::uint64_t>& pages,
-                              std::uint64_t last_demand_page) {
-  if (pages.empty()) return true;
+Lba BlockIoPath::page_lba(FileId file, std::uint64_t page) {
+  ranges_.clear();
+  fs_.extract_lbas(file, page * kBlockSize, kBlockSize, ranges_);
+  PIPETTE_ASSERT(ranges_.size() == 1);
+  return ranges_[0].lba;
+}
+
+void BlockIoPath::map_pages(FileId file,
+                            std::span<const std::uint64_t> pages) {
   // LBA extraction for the fetch set (one mapping pass, ext4 extent walk).
   {
     TraceScope extent_scope(sim_, Stage::kExtentLookup);
     sim_.advance(timing_.fs_extent_lookup);
   }
-  std::vector<Lba> lbas;
-  std::unordered_map<Lba, std::uint64_t> lba_to_page;
-  lbas.reserve(pages.size());
-  for (std::uint64_t page : pages) {
-    std::vector<LbaRange> ranges;
-    fs_.extract_lbas(file, page * kBlockSize, kBlockSize, ranges);
-    PIPETTE_ASSERT(ranges.size() == 1);
-    lbas.push_back(ranges[0].lba);
-    lba_to_page.emplace(ranges[0].lba, page);
-  }
+  reads_.clear();
+  for (std::uint64_t page : pages)
+    reads_.push_back({page_lba(file, page), page});
+}
+
+bool BlockIoPath::fetch_pages(FileId file,
+                              std::span<const std::uint64_t> pages,
+                              std::uint64_t last_demand_page) {
+  if (pages.empty()) return true;
+  map_pages(file, pages);
   // Page allocation for everything about to enter the cache.
   sim_.advance(timing_.page_alloc * pages.size());
   return block_layer_.read_pages(
-      std::move(lbas), [&](Lba lba, const std::uint8_t* data) {
-        auto it = lba_to_page.find(lba);
-        PIPETTE_ASSERT(it != lba_to_page.end());
-        const std::uint64_t page = it->second;
-        cache_.insert({file, page}, data, /*demand=*/page <= last_demand_page);
+      reads_, cache_.frames(),
+      [this, file, last_demand_page](const PageRead& read,
+                                     std::uint8_t* frame) {
+        cache_.insert({file, read.tag}, frame,
+                      /*demand=*/read.tag <= last_demand_page);
       });
 }
 
 void BlockIoPath::fetch_pages_async(FileId file,
-                                    const std::vector<std::uint64_t>& pages) {
+                                    std::span<const std::uint64_t> pages) {
   // The kernel allocates read-ahead pages and builds the requests in the
   // reader's context (synchronous CPU cost), but does not wait for the I/O.
-  {
-    TraceScope extent_scope(sim_, Stage::kExtentLookup);
-    sim_.advance(timing_.fs_extent_lookup);
-  }
-  std::vector<Lba> lbas;
-  auto lba_to_page = std::make_shared<std::unordered_map<Lba, std::uint64_t>>();
-  lbas.reserve(pages.size());
-  for (std::uint64_t page : pages) {
-    std::vector<LbaRange> ranges;
-    fs_.extract_lbas(file, page * kBlockSize, kBlockSize, ranges);
-    PIPETTE_ASSERT(ranges.size() == 1);
-    lbas.push_back(ranges[0].lba);
-    lba_to_page->emplace(ranges[0].lba, page);
-  }
+  map_pages(file, pages);
   sim_.advance(timing_.page_alloc * pages.size());
   for (std::uint64_t page : pages) inflight_.insert({file, page});
   block_layer_.read_pages_async(
-      std::move(lbas), [this, file, lba_to_page](Lba lba,
-                                                 const std::uint8_t* data) {
-        auto it = lba_to_page->find(lba);
-        PIPETTE_ASSERT(it != lba_to_page->end());
+      reads_, cache_.frames(),
+      [this, file](const PageRead& read, std::uint8_t* frame) {
+        const PageKey key{file, read.tag};
         // A page written or demand-fetched while this read-ahead was in
-        // flight must not be clobbered with stale bytes. Null data marks a
-        // failed run: retire the in-flight entry without inserting, so a
-        // later demand read re-issues the I/O instead of hanging.
-        if (data != nullptr && !cache_.contains({file, it->second})) {
-          cache_.insert({file, it->second}, data, /*demand=*/false);
+        // flight must not be clobbered with stale bytes: its frame goes
+        // back to the pool. A null frame marks a failed run: retire the
+        // in-flight entry without inserting, so a later demand read
+        // re-issues the I/O instead of hanging.
+        if (frame != nullptr) {
+          if (cache_.contains(key)) {
+            cache_.frames().give_back(frame);
+          } else {
+            cache_.insert(key, frame, /*demand=*/false);
+          }
         }
-        inflight_.erase({file, it->second});
+        inflight_.erase(key);
       });
 }
 
@@ -100,46 +92,46 @@ bool BlockIoPath::buffered_read(FileId file, std::uint64_t offset,
 
   // Consult the page cache for every page the request spans. Pages with a
   // read-ahead already in flight are waited on (lock_page), not re-read.
-  std::vector<std::uint64_t> missing;
-  std::vector<std::uint64_t> wait_for;
+  missing_.clear();
+  wait_for_.clear();
   {
     TraceScope probe(sim_, Stage::kPageCache);
     for (std::uint64_t p = first_page; p <= last_page; ++p) {
       sim_.advance(timing_.page_cache_lookup);
       if (cache_.lookup({file, p}) != nullptr) continue;
       if (inflight_.contains({file, p})) {
-        wait_for.push_back(p);
+        wait_for_.push_back(p);
       } else {
-        missing.push_back(p);
+        missing_.push_back(p);
       }
     }
   }
-  for (std::uint64_t p : wait_for) {
+  for (std::uint64_t p : wait_for_) {
     const PageKey key{file, p};
     const bool landed = sim_.run_until_condition(
         [&] { return !inflight_.contains(key); });
     PIPETTE_ASSERT_MSG(landed, "in-flight read-ahead never completed");
     // Rare: completed but instantly evicted (tiny cache) — fetch normally.
-    if (!cache_.contains(key)) missing.push_back(p);
+    if (!cache_.contains(key)) missing_.push_back(p);
   }
 
   bool fetched_ok = true;
-  if (!missing.empty()) {
+  if (!missing_.empty()) {
     // Read-ahead planning keys off the first missing page. The demanded
     // pages block this read; the read-ahead window is fetched
     // asynchronously, like the kernel's async readahead.
     const std::uint32_t extra =
-        cache_.plan_readahead({file, missing.front()}, demand_pages);
+        cache_.plan_readahead({file, missing_.front()}, demand_pages);
     const std::uint64_t file_pages =
         (fs_.inode(file).size + kBlockSize - 1) / kBlockSize;
-    std::vector<std::uint64_t> ra;
+    readahead_.clear();
     for (std::uint32_t i = 1; i <= extra; ++i) {
       const std::uint64_t p = last_page + i;
       if (p >= file_pages) break;
-      if (!cache_.contains({file, p})) ra.push_back(p);
+      if (!cache_.contains({file, p})) readahead_.push_back(p);
     }
-    fetched_ok = fetch_pages(file, missing, last_page);
-    if (!ra.empty()) fetch_pages_async(file, ra);
+    fetched_ok = fetch_pages(file, missing_, last_page);
+    if (!readahead_.empty()) fetch_pages_async(file, readahead_);
   }
 
   // Copy out of the page cache. Pages were just inserted, so they are
@@ -159,7 +151,7 @@ bool BlockIoPath::buffered_read(FileId file, std::uint64_t offset,
     PIPETTE_ASSERT_MSG(cp != nullptr,
                        "page evicted before copy-out; page cache smaller "
                        "than a single request span");
-    std::memcpy(out.data() + copied, cp->data.get() + in_page, take);
+    std::memcpy(out.data() + copied, cp->data + in_page, take);
     sim_.advance(timing_.copy_cost(take));
     copied += take;
     pos += take;
@@ -202,17 +194,18 @@ bool BlockIoPath::buffered_write(FileId file, std::uint64_t offset,
     if (cp == nullptr) {
       if (take == kBlockSize) {
         // Full overwrite: no need to read the old contents.
-        std::vector<std::uint8_t> fresh(kBlockSize, 0);
+        std::uint8_t* frame = cache_.frames().take();
+        std::memset(frame, 0, kBlockSize);
         sim_.advance(timing_.page_alloc);
-        cache_.insert({file, page}, fresh.data(), /*demand=*/true);
+        cache_.insert({file, page}, frame, /*demand=*/true);
       } else {
         // Read-modify-write: an unreadable source page fails the write.
-        if (!fetch_pages(file, {page}, page)) return false;
+        if (!fetch_pages(file, {&page, 1}, page)) return false;
       }
       cp = cache_.get({file, page});
       PIPETTE_ASSERT(cp != nullptr);
     }
-    std::memcpy(cp->data.get() + in_page, data.data() + written, take);
+    std::memcpy(cp->data + in_page, data.data() + written, take);
     sim_.advance(timing_.copy_cost(take));
     cache_.mark_dirty({file, page});
     written += take;
@@ -240,10 +233,7 @@ SimDuration BlockIoPath::write(FileId file, int /*open_flags*/,
 
 void BlockIoPath::sync() {
   cache_.flush([this](const PageKey& key, const std::uint8_t* data) {
-    std::vector<LbaRange> ranges;
-    fs_.extract_lbas(key.file_id, key.page * kBlockSize, kBlockSize, ranges);
-    PIPETTE_ASSERT(ranges.size() == 1);
-    block_layer_.write_page(ranges[0].lba, data);
+    block_layer_.write_page(page_lba(key.file_id, key.page), data);
   });
 }
 

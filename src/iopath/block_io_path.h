@@ -4,7 +4,7 @@
 // and as the block route inside PipettePath.
 #pragma once
 
-#include <memory>
+#include <span>
 #include <unordered_set>
 #include <vector>
 
@@ -45,12 +45,19 @@ class BlockIoPath : public ReadPathBase {
   /// page cache; pages already resident are skipped. `demand_until` marks
   /// pages <= that index as demand-fetched (the rest are read-ahead).
   /// Returns false if any page failed with a media error (it stays absent).
-  bool fetch_pages(FileId file, const std::vector<std::uint64_t>& pages,
+  bool fetch_pages(FileId file, std::span<const std::uint64_t> pages,
                    std::uint64_t last_demand_page);
 
   /// Asynchronous read-ahead fetch: submits and returns; pages land in the
   /// cache when the device completes (unless superseded meanwhile).
-  void fetch_pages_async(FileId file, const std::vector<std::uint64_t>& pages);
+  void fetch_pages_async(FileId file, std::span<const std::uint64_t> pages);
+
+  /// Charge the extent walk and fill reads_ with the (LBA, page) pair of
+  /// every page in `pages`.
+  void map_pages(FileId file, std::span<const std::uint64_t> pages);
+
+  /// The single LBA backing page `page` of `file` (writeback and sync).
+  Lba page_lba(FileId file, std::uint64_t page);
 
   PageCache cache_;
   BlockLayer block_layer_;
@@ -58,6 +65,14 @@ class BlockIoPath : public ReadPathBase {
   /// waits for the in-flight I/O (the kernel's lock_page) instead of
   /// issuing a duplicate device read.
   std::unordered_set<PageKey, PageKeyHash> inflight_;
+
+  // Per-request scratch; capacity is kept, so a warm synchronous read
+  // allocates nothing.
+  std::vector<std::uint64_t> missing_;    // pages to fetch on demand
+  std::vector<std::uint64_t> wait_for_;   // pages with read-ahead in flight
+  std::vector<std::uint64_t> readahead_;  // read-ahead window to fetch
+  std::vector<PageRead> reads_;           // (LBA, page) of a fetch
+  std::vector<LbaRange> ranges_;          // extent walk output
 };
 
 }  // namespace pipette

@@ -253,11 +253,11 @@ void SsdController::finish_block_job(BlockJob* job, CmdStatus status) {
 void SsdController::do_block_read(Command cmd, Completion done) {
   ++stats_.block_reads;
   PIPETTE_ASSERT(cmd.nlb >= 1);
-  PIPETTE_ASSERT(cmd.host_dest.size() >=
-                 static_cast<std::size_t>(cmd.nlb) * kBlockSize);
+  PIPETTE_ASSERT(cmd.host_pages.size() == cmd.nlb);
 
   // Stage every page into the device buffer (NAND reads run in parallel
-  // across dies), then move the whole payload to the host in one DMA.
+  // across dies), then move the whole payload to the host in one DMA that
+  // scatters each block into its own destination.
   BlockJob* job = acquire_block_job(std::move(cmd), std::move(done));
   job->remaining = job->cmd.nlb;
   for (std::uint32_t i = 0; i < job->cmd.nlb; ++i) {
@@ -277,9 +277,7 @@ void SsdController::do_block_read(Command cmd, Completion done) {
           pcie_.dma(bytes, [this, job, bytes]() {
             for (std::uint32_t p = 0; p < job->cmd.nlb; ++p) {
               content_.read(job->cmd.lba + p, 0,
-                            job->cmd.host_dest.subspan(
-                                static_cast<std::size_t>(p) * kBlockSize,
-                                kBlockSize));
+                            {job->cmd.host_pages[p], kBlockSize});
             }
             stats_.bytes_to_host += bytes;
             finish_block_job(job, CmdStatus::kOk);

@@ -6,7 +6,9 @@
 // work, then the opcode-specific flow runs on the discrete-event simulator:
 //
 //  kRead       block read of nlb pages -> NAND (parallel across dies) ->
-//              one DMA of nlb*4KiB to the host buffer.
+//              one DMA of nlb*4KiB, scattered over the command's per-block
+//              host destinations (an NVMe PRP list: the host's page-cache
+//              frames, so each page is synthesized once, in place).
 //  kWrite      block write -> content overlay update -> NAND programs.
 //  kFgRead     the Fine-Grained Read Engine: (1) load each distinct NAND
 //              page into the read buffer, (2) consume the matching Info Area
@@ -57,7 +59,11 @@ struct Command {
   Opcode op = Opcode::kRead;
   Lba lba = 0;
   std::uint32_t nlb = 1;
-  std::span<std::uint8_t> host_dest;       // kRead: where data lands
+  // kRead: where the data lands, one kBlockSize destination per block —
+  // block lba + i goes to host_pages[i], like an NVMe PRP list. The
+  // destinations need not be adjacent or ordered. Non-owning: the submitter
+  // keeps the list and the frames alive until the command completes.
+  std::span<std::uint8_t* const> host_pages;
   std::vector<std::uint8_t> write_data;    // kWrite/kFgWrite: payload
   std::vector<FgRange> ranges;             // kFgRead/kFgWrite: byte ranges;
                                            // for kFgWrite the payload bytes

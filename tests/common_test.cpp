@@ -368,20 +368,47 @@ TEST(PatternBytes, DeterministicAndKeyed) {
 }
 
 TEST(PatternBytes, FillMatchesByteAtEveryAlignment) {
-  for (std::uint64_t start : {0ULL, 1ULL, 3ULL, 7ULL, 8ULL, 13ULL}) {
-    std::vector<std::uint8_t> buf(67);
-    fill_pattern({buf.data(), buf.size()}, 9, start);
-    for (std::size_t i = 0; i < buf.size(); ++i)
-      ASSERT_EQ(buf[i], pattern_byte(9, start + i)) << start << "+" << i;
+  // Every start alignment across two words, every length that exercises
+  // head-only, head+tail and head+body+tail shapes, and a page-sized body
+  // with and without a trailing partial word. Guard bytes around the
+  // destination catch a write past either end.
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 17; ++n) lengths.push_back(n);
+  lengths.push_back(4096);
+  lengths.push_back(4097);
+  constexpr std::size_t kGuard = 8;
+  constexpr std::uint8_t kSentinel = 0xA5;
+  for (std::uint64_t start = 0; start < 16; ++start) {
+    for (std::size_t len : lengths) {
+      std::vector<std::uint8_t> buf(len + 2 * kGuard, kSentinel);
+      const std::span<std::uint8_t> out(buf.data() + kGuard, len);
+      fill_pattern(out, 9, start);
+      for (std::size_t i = 0; i < len; ++i)
+        ASSERT_EQ(out[i], pattern_byte(9, start + i))
+            << start << "+" << i << " len " << len;
+      for (std::size_t g = 0; g < kGuard; ++g) {
+        ASSERT_EQ(buf[g], kSentinel) << start << " len " << len;
+        ASSERT_EQ(buf[kGuard + len + g], kSentinel) << start << " len " << len;
+      }
+      ASSERT_TRUE(check_pattern(out, 9, start)) << start << " len " << len;
+    }
   }
 }
 
 TEST(PatternBytes, CheckPatternDetectsCorruption) {
+  // Offset 100 is 4 bytes into a word and 64 bytes end 4 bytes into one:
+  // bytes [0, 4) are the head, [4, 60) whole words, [60, 64) the tail.
   std::vector<std::uint8_t> buf(64);
   fill_pattern({buf.data(), buf.size()}, 4, 100);
   EXPECT_TRUE(check_pattern({buf.data(), buf.size()}, 4, 100));
-  buf[17] ^= 0xff;
-  EXPECT_FALSE(check_pattern({buf.data(), buf.size()}, 4, 100));
+  EXPECT_FALSE(check_pattern({buf.data(), buf.size()}, 5, 100));
+  EXPECT_FALSE(check_pattern({buf.data(), buf.size()}, 4, 101));
+  for (std::size_t at : {0u, 3u, 4u, 17u, 59u, 60u, 63u}) {
+    buf[at] ^= 0x01;
+    EXPECT_FALSE(check_pattern({buf.data(), buf.size()}, 4, 100)) << at;
+    buf[at] ^= 0x01;
+  }
+  EXPECT_TRUE(check_pattern({buf.data(), buf.size()}, 4, 100));
 }
 
 // --- LruMap ---

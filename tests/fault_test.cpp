@@ -84,6 +84,25 @@ TEST(DeviceFaults, NandRetriesAndTerminalFailuresSurface) {
   EXPECT_EQ(r.measured_reads + r.failed_reads, 600u);
 }
 
+// Frames of block reads that failed with a media error go back to the page
+// cache's pool: once the device is idle (read-ahead retired), the frames
+// held are exactly the resident pages, and the pool never grew past the
+// cache's capacity.
+TEST(DeviceFaults, FailedBlockReadsReturnTheirFrames) {
+  const MachineConfig m = faulty_machine(PathKind::kBlockIo, 0.5);
+  Machine machine(m, SyntheticWorkload(small_synth('C')).files());
+  SyntheticWorkload w(small_synth('C'));
+  const RunResult r = run_experiment_on(machine, w, {600, 300});
+  EXPECT_GT(r.failed_reads, 0u);
+  EXPECT_GT(machine.ssd().stats().media_errors, 0u);
+  machine.sim().run_all();
+  const PageCache& pc = *machine.page_cache();
+  EXPECT_GT(pc.resident_pages(), 0u);
+  EXPECT_EQ(pc.frames_held(), pc.resident_pages());
+  EXPECT_LE(machine.page_cache()->frames().frames_allocated(),
+            pc.capacity_pages());
+}
+
 TEST(DeviceFaults, HmbFaultDegradesPipetteToBlockPath) {
   MachineConfig m = default_machine(PathKind::kPipette);
   m.ssd.faults.hmb.dma_fault_rate = 1.0;  // every FG_READ aborts in the HMB

@@ -190,7 +190,9 @@ TEST(PageCacheModelCheck, ResidentPagesAlwaysHoldLatestBytes) {
     if (dice < 0.5) {
       const auto marker = static_cast<std::uint8_t>(op & 0xff);
       std::fill(page.begin(), page.end(), marker);
-      cache.insert(key, page.data(), rng.next_bool(0.5));
+      std::uint8_t* frame = cache.frames().take();
+      std::copy(page.begin(), page.end(), frame);
+      cache.insert(key, frame, rng.next_bool(0.5));
       model[p] = marker;
     } else if (dice < 0.9) {
       if (const CachedPage* cp = cache.lookup(key)) {

@@ -323,13 +323,23 @@ struct ControllerFixture : ::testing::Test {
   }
 };
 
+// The per-block destinations (PRP list) of a contiguous buffer; it must
+// outlive the command.
+std::vector<std::uint8_t*> pages_of(std::vector<std::uint8_t>& buf) {
+  std::vector<std::uint8_t*> pages;
+  for (std::size_t off = 0; off < buf.size(); off += kBlockSize)
+    pages.push_back(buf.data() + off);
+  return pages;
+}
+
 TEST_F(ControllerFixture, BlockReadReturnsCorrectBytes) {
   std::vector<std::uint8_t> buf(2 * kBlockSize);
   Command cmd;
   cmd.op = Opcode::kRead;
   cmd.lba = 10;
   cmd.nlb = 2;
-  cmd.host_dest = {buf.data(), buf.size()};
+  const std::vector<std::uint8_t*> cmd_pages = pages_of(buf);
+  cmd.host_pages = cmd_pages;
   const CommandResult r = run(std::move(cmd));
   EXPECT_GT(r.completed_at, 0u);
   for (std::uint32_t i = 0; i < 2 * kBlockSize; ++i) {
@@ -339,13 +349,45 @@ TEST_F(ControllerFixture, BlockReadReturnsCorrectBytes) {
   EXPECT_EQ(ctrl.stats().bytes_to_host, 2u * kBlockSize);
 }
 
+TEST_F(ControllerFixture, BlockReadScattersBlocksOverThePrpList) {
+  // Four blocks land in every other slot of an 8-slot buffer, in reverse
+  // address order: block i goes to slot 6 - 2i. Each block must land in
+  // its own destination and the slots between them stay untouched.
+  constexpr std::uint8_t kUntouched = 0x3C;
+  std::vector<std::uint8_t> buf(8 * kBlockSize, kUntouched);
+  std::vector<std::uint8_t*> dests;
+  for (std::size_t i = 0; i < 4; ++i)
+    dests.push_back(buf.data() + (6 - 2 * i) * kBlockSize);
+  Command cmd;
+  cmd.op = Opcode::kRead;
+  cmd.lba = 20;
+  cmd.nlb = 4;
+  cmd.host_pages = dests;
+  const CommandResult r = run(std::move(cmd));
+  EXPECT_EQ(r.status, CmdStatus::kOk);
+  for (std::size_t slot = 0; slot < 8; ++slot) {
+    const std::uint8_t* at = buf.data() + slot * kBlockSize;
+    for (std::uint32_t b = 0; b < kBlockSize; ++b) {
+      if (slot % 2 == 1) {
+        ASSERT_EQ(at[b], kUntouched) << "slot " << slot;
+      } else {
+        const Lba lba = 20 + (6 - slot) / 2;
+        ASSERT_EQ(at[b], ctrl.content().pristine_byte(lba, b))
+            << "slot " << slot << " byte " << b;
+      }
+    }
+  }
+  EXPECT_EQ(ctrl.stats().bytes_to_host, 4u * kBlockSize);
+}
+
 TEST_F(ControllerFixture, BlockReadHitsReadBufferSecondTime) {
   std::vector<std::uint8_t> buf(kBlockSize);
   for (int i = 0; i < 2; ++i) {
     Command cmd;
     cmd.op = Opcode::kRead;
     cmd.lba = 5;
-    cmd.host_dest = {buf.data(), buf.size()};
+    const std::vector<std::uint8_t*> cmd_pages = pages_of(buf);
+    cmd.host_pages = cmd_pages;
     run(std::move(cmd));
   }
   EXPECT_EQ(ctrl.stats().read_buffer.hits(), 1u);
@@ -358,14 +400,16 @@ TEST_F(ControllerFixture, ReadBufferHitIsFaster) {
   Command a;
   a.op = Opcode::kRead;
   a.lba = 7;
-  a.host_dest = {buf.data(), buf.size()};
+  const std::vector<std::uint8_t*> a_pages = pages_of(buf);
+  a.host_pages = a_pages;
   const SimTime t0 = sim.now();
   run(std::move(a));
   const SimDuration miss_latency = sim.now() - t0;
   Command b;
   b.op = Opcode::kRead;
   b.lba = 7;
-  b.host_dest = {buf.data(), buf.size()};
+  const std::vector<std::uint8_t*> b_pages = pages_of(buf);
+  b.host_pages = b_pages;
   const SimTime t1 = sim.now();
   run(std::move(b));
   const SimDuration hit_latency = sim.now() - t1;
@@ -380,7 +424,8 @@ TEST_F(ControllerFixture, MultiPageReadUsesChannelParallelism) {
   cmd.op = Opcode::kRead;
   cmd.lba = 0;
   cmd.nlb = 4;
-  cmd.host_dest = {buf.data(), buf.size()};
+  const std::vector<std::uint8_t*> cmd_pages = pages_of(buf);
+  cmd.host_pages = cmd_pages;
   const SimTime t0 = sim.now();
   run(std::move(cmd));
   const SimDuration elapsed = sim.now() - t0;
@@ -402,7 +447,8 @@ TEST_F(ControllerFixture, WriteThenReadSeesNewData) {
   Command r;
   r.op = Opcode::kRead;
   r.lba = 3;
-  r.host_dest = {buf.data(), buf.size()};
+  const std::vector<std::uint8_t*> r_pages = pages_of(buf);
+  r.host_pages = r_pages;
   run(std::move(r));
   for (auto b : buf) ASSERT_EQ(b, 0xEE);
 }
@@ -540,13 +586,15 @@ TEST_F(ControllerFixture, ConcurrentCommandsAllComplete) {
   // and the array's parallelism keeps total time well under serial.
   constexpr int kN = 16;
   std::vector<std::vector<std::uint8_t>> bufs(kN);
+  std::vector<std::uint8_t*> dests(kN);  // one single-entry PRP list each
   int completed = 0;
   for (int i = 0; i < kN; ++i) {
     bufs[static_cast<size_t>(i)].resize(kBlockSize);
+    dests[static_cast<size_t>(i)] = bufs[static_cast<size_t>(i)].data();
     Command cmd;
     cmd.op = Opcode::kRead;
     cmd.lba = static_cast<Lba>(i * 37 % 512);
-    cmd.host_dest = {bufs[static_cast<size_t>(i)].data(), kBlockSize};
+    cmd.host_pages = {&dests[static_cast<size_t>(i)], 1};
     ctrl.submit(std::move(cmd),
                 [&completed](const CommandResult&) { ++completed; });
   }
@@ -575,7 +623,8 @@ TEST_F(ControllerFixture, InterleavedReadsAndWritesStayCoherent) {
   Command r;
   r.op = Opcode::kRead;
   r.lba = 100;
-  r.host_dest = {buf.data(), buf.size()};
+  const std::vector<std::uint8_t*> r_pages = pages_of(buf);
+  r.host_pages = r_pages;
   bool r_done = false;
   ctrl.submit(std::move(r), [&](const CommandResult&) { r_done = true; });
   sim.run_all();
@@ -605,7 +654,8 @@ TEST_F(ControllerFixture, StatsAccumulateAcrossCommandMix) {
   Command r;
   r.op = Opcode::kRead;
   r.lba = 1;
-  r.host_dest = {buf.data(), buf.size()};
+  const std::vector<std::uint8_t*> r_pages = pages_of(buf);
+  r.host_pages = r_pages;
   run(std::move(r));
   Command w;
   w.op = Opcode::kWrite;
@@ -627,7 +677,8 @@ TEST_F(ControllerFixture, WriteInvalidatesDeviceReadBuffer) {
   Command r1;
   r1.op = Opcode::kRead;
   r1.lba = 60;
-  r1.host_dest = {buf.data(), buf.size()};
+  const std::vector<std::uint8_t*> r1_pages = pages_of(buf);
+  r1.host_pages = r1_pages;
   run(std::move(r1));  // stages page 60
   Command w;
   w.op = Opcode::kWrite;
@@ -637,7 +688,8 @@ TEST_F(ControllerFixture, WriteInvalidatesDeviceReadBuffer) {
   Command r2;
   r2.op = Opcode::kRead;
   r2.lba = 60;
-  r2.host_dest = {buf.data(), buf.size()};
+  const std::vector<std::uint8_t*> r2_pages = pages_of(buf);
+  r2.host_pages = r2_pages;
   run(std::move(r2));
   for (auto b : buf) ASSERT_EQ(b, 0x11);
   // Second read re-staged from NAND (buffer was invalidated).
