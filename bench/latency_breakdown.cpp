@@ -275,18 +275,14 @@ int main(int argc, char** argv) {
 
   if (selfcheck) {
     bool ok = true;
-    // In a -DPIPETTE_TRACE=OFF build the span macros compile to nothing, so
-    // only the JSON artefacts can be checked.
-    if (PIPETTE_TRACE_ENABLED) {
-      for (const SystemRun& run : runs) {
-        std::uint64_t spans = 0;
-        for (const LatencyHistogram& h : run.result.stage_latency)
-          spans += h.count();
-        if (spans == 0) {
-          std::fprintf(stderr, "pipette: selfcheck: %s recorded no spans\n",
-                       run.label);
-          ok = false;
-        }
+    for (const SystemRun& run : runs) {
+      std::uint64_t spans = 0;
+      for (const LatencyHistogram& h : run.result.stage_latency)
+        spans += h.count();
+      if (spans == 0) {
+        std::fprintf(stderr, "pipette: selfcheck: %s recorded no spans\n",
+                     run.label);
+        ok = false;
       }
     }
     if (!args.json_path.empty()) ok = selfcheck_json_file(args.json_path) && ok;

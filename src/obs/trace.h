@@ -6,9 +6,8 @@
 //    schedules events, never draws randomness. Tracing on/off therefore
 //    yields bit-identical simulations — the golden trace and obs_test pin
 //    this.
-//  * Disabled cost is near zero. With PIPETTE_TRACE_ENABLED=0 the macros
-//    and TraceScope compile away entirely; with it on (the default) but no
-//    tracer installed, each site is a single pointer test.
+//  * Disabled cost is near zero: with no tracer installed, each site is a
+//    single pointer test.
 //  * Stages are attributed to the *current* request (the last
 //    PIPETTE_TRACE_REQUEST). The request model is closed-loop — one
 //    outstanding read per machine — so device-side spans land on the right
@@ -24,10 +23,6 @@
 #include "common/stats.h"
 #include "common/units.h"
 #include "des/simulator.h"
-
-#ifndef PIPETTE_TRACE_ENABLED
-#define PIPETTE_TRACE_ENABLED 1
-#endif
 
 namespace pipette {
 
@@ -134,8 +129,6 @@ class Tracer {
 void merge_stage_latency(std::vector<LatencyHistogram>& into,
                          const std::vector<LatencyHistogram>& from);
 
-#if PIPETTE_TRACE_ENABLED
-
 /// Records [begin_ns, end_ns] for `stage` if a tracer is installed.
 #define PIPETTE_TRACE_SPAN(sim, stage, begin_ns, end_ns)         \
   do {                                                           \
@@ -168,26 +161,5 @@ class TraceScope {
   Stage stage_;
   SimTime begin_;
 };
-
-#else  // !PIPETTE_TRACE_ENABLED
-
-#define PIPETTE_TRACE_SPAN(sim, stage, begin_ns, end_ns) \
-  do {                                                   \
-    (void)(sim);                                         \
-  } while (0)
-#define PIPETTE_TRACE_REQUEST(sim) \
-  do {                             \
-    (void)(sim);                   \
-  } while (0)
-
-class TraceScope {
- public:
-  TraceScope(Simulator& sim, Stage stage) {
-    (void)sim;
-    (void)stage;
-  }
-};
-
-#endif  // PIPETTE_TRACE_ENABLED
 
 }  // namespace pipette

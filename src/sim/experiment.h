@@ -63,8 +63,8 @@ struct RunResult {
   LatencyHistogram read_latency;
 
   /// Simulator events executed over the whole cell (warmup + measurement).
-  /// Deterministic; together with host_seconds it tracks the DES core's
-  /// events/sec across PRs (see bench/des_microbench).
+  /// Deterministic; together with host_seconds it gives the cell's host
+  /// cost per simulated event.
   std::uint64_t events_executed = 0;
 
   /// End-of-run component counters/gauges under dotted names (ssd.*,

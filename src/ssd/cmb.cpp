@@ -1,7 +1,5 @@
 #include "ssd/cmb.h"
 
-#include <cstring>
-
 #include "common/assert.h"
 
 namespace pipette {
@@ -18,14 +16,7 @@ std::uint32_t Cmb::claim_slot() {
   return s;
 }
 
-void Cmb::fill(std::uint32_t slot, std::span<const std::uint8_t> page) {
-  PIPETTE_ASSERT(slot < slots_);
-  PIPETTE_ASSERT(page.size() <= kBlockSize);
-  std::memcpy(bytes_.data() + static_cast<std::size_t>(slot) * kBlockSize,
-              page.data(), page.size());
-}
-
-std::span<const std::uint8_t> Cmb::slot(std::uint32_t slot) const {
+std::span<std::uint8_t> Cmb::slot(std::uint32_t slot) {
   PIPETTE_ASSERT(slot < slots_);
   return {bytes_.data() + static_cast<std::size_t>(slot) * kBlockSize,
           kBlockSize};

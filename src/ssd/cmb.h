@@ -21,11 +21,9 @@ class Cmb {
   /// Claim the next slot (round-robin) for an incoming page; returns slot id.
   std::uint32_t claim_slot();
 
-  /// Device-side fill of a slot.
-  void fill(std::uint32_t slot, std::span<const std::uint8_t> page);
-
-  /// Host-visible bytes of a slot (MMIO window view).
-  std::span<const std::uint8_t> slot(std::uint32_t slot) const;
+  /// Bytes of a slot: the device fills them in place, the host reads them
+  /// through the MMIO window.
+  std::span<std::uint8_t> slot(std::uint32_t slot);
 
   std::uint32_t slots() const { return slots_; }
 

@@ -27,16 +27,17 @@ const char* to_string(CmdStatus s) {
   return "?";
 }
 
-// Shared state of one in-flight fine-grained command. Pooled: the record is
+// One in-flight command, from submit() to retire(). Pooled: the record is
 // reused across commands, so the by-page grouping keeps its vector
 // capacities and the steady state allocates nothing.
-struct SsdController::FgJob {
+struct SsdController::Job {
   Command cmd;
   Completion done;
-  std::uint32_t pages_pending = 0;
-  std::uint32_t ranges_pending = 0;
-  bool media_failed = false;      // some page exhausted its retry budget
-  bool drop_completion = false;   // injected lost CQ entry for this command
+  // Fan-in: pages outstanding (block commands, fine writes) or ranges
+  // outstanding (fine reads).
+  std::uint32_t pending = 0;
+  bool failed = false;           // some page exhausted its retry budget
+  bool drop_completion = false;  // injected lost CQ entry for this command
 
   struct PageGroup {
     Lba lba = kInvalidLba;
@@ -47,15 +48,6 @@ struct SsdController::FgJob {
   };
   std::vector<PageGroup> by_page;
   std::size_t pages_used = 0;  // by_page[0..pages_used) are this command's
-};
-
-// Shared state of one in-flight block read/write: the command, the host
-// completion and the pages-outstanding fan-in counter.
-struct SsdController::BlockJob {
-  Command cmd;
-  Completion done;
-  std::uint32_t remaining = 0;
-  bool failed = false;  // some page exhausted its retry budget
 };
 
 SsdController::SsdController(Simulator& sim, const ControllerConfig& config)
@@ -78,8 +70,8 @@ void SsdController::submit(Command cmd, Completion done) {
   ++stats_.commands;
   // Submission path: host driver builds the SQE, rings the doorbell, the
   // controller fetches the command; firmware then begins processing. The
-  // command parks in a pooled slot so the scheduled closure captures only
-  // {this, slot} and stays within the callback's inline buffer.
+  // command parks in a pooled Job so the scheduled closure captures only
+  // {this, job} and stays within the callback's inline buffer.
   const SimDuration entry =
       config_.timing.submission + config_.timing.firmware_per_cmd;
   PIPETTE_TRACE_SPAN(sim_, Stage::kQueue, sim_.now(),
@@ -87,36 +79,36 @@ void SsdController::submit(Command cmd, Completion done) {
   PIPETTE_TRACE_SPAN(sim_, Stage::kFtl,
                      sim_.now() + config_.timing.submission,
                      sim_.now() + entry);
-  std::uint32_t slot;
-  if (!pending_free_.empty()) {
-    slot = pending_free_.back();
-    pending_free_.pop_back();
+  Job* job;
+  if (!job_free_.empty()) {
+    job = job_free_.back();
+    job_free_.pop_back();
   } else {
-    slot = static_cast<std::uint32_t>(pending_cmds_.size());
-    pending_cmds_.emplace_back();
+    job_pool_.push_back(std::make_unique<Job>());
+    job = job_pool_.back().get();
   }
-  pending_cmds_[slot].cmd = std::move(cmd);
-  pending_cmds_[slot].done = std::move(done);
-  sim_.schedule(entry, [this, slot]() {
-    PendingCmd& parked = pending_cmds_[slot];
-    Command cmd = std::move(parked.cmd);
-    Completion done = std::move(parked.done);
-    pending_free_.push_back(slot);
-    switch (cmd.op) {
+  job->cmd = std::move(cmd);
+  job->done = std::move(done);
+  job->pending = 0;
+  job->failed = false;
+  job->drop_completion = false;
+  job->pages_used = 0;
+  sim_.schedule(entry, [this, job]() {
+    switch (job->cmd.op) {
       case Opcode::kRead:
-        do_block_read(std::move(cmd), std::move(done));
+        do_block_read(job);
         break;
       case Opcode::kWrite:
-        do_block_write(std::move(cmd), std::move(done));
+        do_block_write(job);
         break;
       case Opcode::kFgRead:
-        do_fg_read(std::move(cmd), std::move(done));
+        do_fg_read(job);
         break;
       case Opcode::kFgWrite:
-        do_fg_write(std::move(cmd), std::move(done));
+        do_fg_write(job);
         break;
       case Opcode::kReadToCmb:
-        do_read_to_cmb(std::move(cmd), std::move(done));
+        do_read_to_cmb(job);
         break;
     }
   });
@@ -129,14 +121,6 @@ std::vector<FgRange> SsdController::take_fg_ranges() {
   return out;
 }
 
-void SsdController::recycle_fg_ranges(std::vector<FgRange>&& ranges) {
-  if (ranges.capacity() == 0) return;
-  ranges.clear();
-  // A handful of buffers covers every in-flight fine-grained command; the
-  // cap only guards against a pathological burst pinning memory.
-  if (fg_range_pool_.size() < 64) fg_range_pool_.push_back(std::move(ranges));
-}
-
 void SsdController::fine_dma(std::uint64_t bytes,
                              Simulator::Callback on_done) {
   if (config_.interconnect == InterconnectKind::kLmb) {
@@ -146,26 +130,39 @@ void SsdController::fine_dma(std::uint64_t bytes,
   }
 }
 
-void SsdController::complete(Completion& done, CommandResult result) {
+void SsdController::retire(Job* job, CmdStatus status,
+                           std::uint32_t cmb_slot) {
+  if (job->cmd.op == Opcode::kFgRead) {
+    // Device "digests items in Info Area and increases the head's value":
+    // retire this command's records — even for failed commands, so the ring
+    // never leaks. release() keeps the head correct when concurrent
+    // commands (demand + speculative prefetch) retire out of push order.
+    for (const FgRange& r : job->cmd.ranges)
+      hmb_.info().release(r.info_index, sim_.now());
+  }
+  // Recycle the range buffer for take_fg_ranges(). A handful covers every
+  // in-flight fine command; the cap only guards against a pathological
+  // burst pinning memory.
+  std::vector<FgRange>& ranges = job->cmd.ranges;
+  if (ranges.capacity() > 0 && fg_range_pool_.size() < 64) {
+    ranges.clear();
+    fg_range_pool_.push_back(std::move(ranges));
+  }
+  const bool drop = job->drop_completion;
+  Completion done = std::move(job->done);
+  job->cmd = Command{};
+  job_free_.push_back(job);
+  if (drop) {
+    // Injected lost completion: the work happened but the CQ entry never
+    // arrives. The host's timeout guard is responsible for recovery.
+    ++stats_.dropped_completions;
+    return;
+  }
   PIPETTE_TRACE_SPAN(sim_, Stage::kComplete, sim_.now(),
                      sim_.now() + config_.timing.completion);
+  const CommandResult result{sim_.now(), cmb_slot, status};
   sim_.schedule(config_.timing.completion,
                 [done = std::move(done), result]() { done(result); });
-}
-
-std::uint32_t SsdController::acquire_stage_slot(StageCallback ready) {
-  std::uint32_t slot;
-  if (!stage_free_.empty()) {
-    slot = stage_free_.back();
-    stage_free_.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(stage_slots_.size());
-    stage_slots_.emplace_back();
-  }
-  stage_slots_[slot].ready = std::move(ready);
-  stage_slots_[slot].ok = true;
-  stage_slots_[slot].pending = 1;
-  return slot;
 }
 
 void SsdController::stage_page(Lba lba, StageCallback ready,
@@ -180,32 +177,23 @@ void SsdController::stage_page(Lba lba, StageCallback ready,
     stats_.read_buffer.record(false);
   }
   ftl_.note_read();
-  if (ftl_.slots_per_page() == 1) {
-    const PhysPageAddr addr = ftl_.lookup(lba);
-    // Park `ready` (itself a full-size callback) in a pooled slot so the
-    // NAND completion closure does not nest one callback inside another.
-    const std::uint32_t slot = acquire_stage_slot(std::move(ready));
-    const NandReadOutcome outcome =
-        nand_.read_page(addr, [this, lba, slot, use_buffer]() {
-          StageSlot& parked = stage_slots_[slot];
-          const bool ok = parked.ok;
-          if (ok && use_buffer) read_buffer_.insert(lba, 0);
-          StageCallback ready = std::move(parked.ready);
-          stage_free_.push_back(slot);
-          ready(ok);
-        });
-    if (outcome.failed) {
-      stage_slots_[slot].ok = false;
-      ++stats_.media_errors;
-    }
-    return;
-  }
-  // MU-mapped device: partial writes may have scattered the LBA's MUs over
-  // several physical pages. Sense every holder (each transferring only its
-  // MUs' bytes) and fan the reads into the parked slot; the page counts as
-  // staged when the last one lands.
+  // Sense every physical page holding the LBA's mapping units (one at
+  // MU = page; with MU < page partial writes may have scattered them), each
+  // transferring only its MUs' bytes, and fan the reads into a pooled slot
+  // that parks `ready` (itself a full-size callback, so the NAND completion
+  // closure does not nest one callback inside another). The page counts as
+  // staged when the last read lands.
   ftl_.lookup_pages(lba, stage_pages_scratch_);
-  const std::uint32_t slot = acquire_stage_slot(std::move(ready));
+  std::uint32_t slot;
+  if (!stage_free_.empty()) {
+    slot = stage_free_.back();
+    stage_free_.pop_back();
+  } else {
+    slot = static_cast<std::uint32_t>(stage_slots_.size());
+    stage_slots_.emplace_back();
+  }
+  stage_slots_[slot].ready = std::move(ready);
+  stage_slots_[slot].ok = true;
   stage_slots_[slot].pending =
       static_cast<std::uint32_t>(stage_pages_scratch_.size());
   for (const MuPageRead& r : stage_pages_scratch_) {
@@ -226,50 +214,25 @@ void SsdController::stage_page(Lba lba, StageCallback ready,
   }
 }
 
-SsdController::BlockJob* SsdController::acquire_block_job(Command cmd,
-                                                          Completion done) {
-  BlockJob* job;
-  if (!block_job_free_.empty()) {
-    job = block_job_free_.back();
-    block_job_free_.pop_back();
-  } else {
-    block_job_pool_.push_back(std::make_unique<BlockJob>());
-    job = block_job_pool_.back().get();
-  }
-  job->cmd = std::move(cmd);
-  job->done = std::move(done);
-  job->remaining = 0;
-  job->failed = false;
-  return job;
-}
-
-void SsdController::finish_block_job(BlockJob* job, CmdStatus status) {
-  Completion done = std::move(job->done);
-  job->cmd = Command{};
-  block_job_free_.push_back(job);
-  complete(done, CommandResult{sim_.now(), 0, status});
-}
-
-void SsdController::do_block_read(Command cmd, Completion done) {
+void SsdController::do_block_read(Job* job) {
   ++stats_.block_reads;
-  PIPETTE_ASSERT(cmd.nlb >= 1);
-  PIPETTE_ASSERT(cmd.host_pages.size() == cmd.nlb);
+  PIPETTE_ASSERT(job->cmd.nlb >= 1);
+  PIPETTE_ASSERT(job->cmd.host_pages.size() == job->cmd.nlb);
 
   // Stage every page into the device buffer (NAND reads run in parallel
   // across dies), then move the whole payload to the host in one DMA that
   // scatters each block into its own destination.
-  BlockJob* job = acquire_block_job(std::move(cmd), std::move(done));
-  job->remaining = job->cmd.nlb;
+  job->pending = job->cmd.nlb;
   for (std::uint32_t i = 0; i < job->cmd.nlb; ++i) {
     stage_page(
         job->cmd.lba + i,
         [this, job](bool ok) {
           if (!ok) job->failed = true;
-          if (--job->remaining > 0) return;
+          if (--job->pending > 0) return;
           if (job->failed) {
             // A page never materialised: fail the whole command without
             // moving any payload to the host.
-            finish_block_job(job, CmdStatus::kMediaError);
+            retire(job, CmdStatus::kMediaError);
             return;
           }
           const std::uint64_t bytes =
@@ -280,15 +243,16 @@ void SsdController::do_block_read(Command cmd, Completion done) {
                             {job->cmd.host_pages[p], kBlockSize});
             }
             stats_.bytes_to_host += bytes;
-            finish_block_job(job, CmdStatus::kOk);
+            retire(job, CmdStatus::kOk);
           });
         },
         config_.block_reads_use_buffer);
   }
 }
 
-void SsdController::do_block_write(Command cmd, Completion done) {
+void SsdController::do_block_write(Job* job) {
   ++stats_.block_writes;
+  const Command& cmd = job->cmd;
   PIPETTE_ASSERT(cmd.write_data.size() ==
                  static_cast<std::size_t>(cmd.nlb) * kBlockSize);
   // Content lands in the overlay at firmware time; programs then persist it.
@@ -302,25 +266,24 @@ void SsdController::do_block_write(Command cmd, Completion done) {
     // keep the buffer coherent by dropping it (next read re-stages).
     read_buffer_.erase(cmd.lba + i);
   }
-  BlockJob* job = acquire_block_job(std::move(cmd), std::move(done));
   // With MU < page a write seals 0..2 pages (the rest of its MUs wait in
   // the controller write cache for later merges), so the fan-in counts
   // issued programs plus an issuance guard; the command completes when the
   // last program lands — or immediately at the write-cache ack if nothing
   // sealed. With MU = page every write seals exactly one page and this is
   // the classic one-program-per-LBA flow.
-  job->remaining = 1;
-  for (std::uint32_t i = 0; i < job->cmd.nlb; ++i) {
-    ftl_.update(job->cmd.lba + i);
+  job->pending = 1;
+  for (std::uint32_t i = 0; i < cmd.nlb; ++i) {
+    ftl_.update(cmd.lba + i);
     perform_gc_moves();
     issue_host_programs([this, job](const PageProgram& p) {
-      ++job->remaining;
+      ++job->pending;
       nand_.program_page(p.addr, [this, job]() {
-        if (--job->remaining == 0) finish_block_job(job, CmdStatus::kOk);
+        if (--job->pending == 0) retire(job, CmdStatus::kOk);
       });
     });
   }
-  if (--job->remaining == 0) finish_block_job(job, CmdStatus::kOk);
+  if (--job->pending == 0) retire(job, CmdStatus::kOk);
 }
 
 void SsdController::perform_gc_moves() {
@@ -374,37 +337,12 @@ void SsdController::perform_gc_moves() {
   }
 }
 
-SsdController::FgJob* SsdController::acquire_fg_job(Command cmd,
-                                                    Completion done) {
-  FgJob* job;
-  if (!fg_job_free_.empty()) {
-    job = fg_job_free_.back();
-    fg_job_free_.pop_back();
-  } else {
-    fg_job_pool_.push_back(std::make_unique<FgJob>());
-    job = fg_job_pool_.back().get();
-  }
-  job->cmd = std::move(cmd);
-  job->done = std::move(done);
-  job->pages_pending = 0;
-  job->ranges_pending = 0;
-  job->media_failed = false;
-  job->drop_completion = false;
-  job->pages_used = 0;
-  return job;
-}
-
-void SsdController::release_fg_job(FgJob* job) {
-  job->cmd = Command{};
-  fg_job_free_.push_back(job);
-}
-
-void SsdController::group_ranges_by_page(FgJob& job, bool with_offsets) {
+void SsdController::group_ranges_by_page(Job& job, bool with_offsets) {
   job.pages_used = 0;
   std::uint64_t consumed = 0;
   for (const FgRange& r : job.cmd.ranges) {
     PIPETTE_ASSERT(r.len > 0 && r.offset + r.len <= kBlockSize);
-    FgJob::PageGroup* group = nullptr;
+    Job::PageGroup* group = nullptr;
     // Linear scan: fine-grained commands span a handful of pages at most.
     for (std::size_t i = 0; i < job.pages_used; ++i) {
       if (job.by_page[i].lba == r.lba) {
@@ -424,43 +362,23 @@ void SsdController::group_ranges_by_page(FgJob& job, bool with_offsets) {
   // Ascending-Lba page order (unique keys, so the sort is deterministic).
   std::sort(job.by_page.begin(),
             job.by_page.begin() + static_cast<std::ptrdiff_t>(job.pages_used),
-            [](const FgJob::PageGroup& a, const FgJob::PageGroup& b) {
+            [](const Job::PageGroup& a, const Job::PageGroup& b) {
               return a.lba < b.lba;
             });
 }
 
-// Once every range of every page has been DMAed, retire the command and
-// advance the Info Area head past all of this command's records.
-void SsdController::fg_range_done(FgJob* job) {
-  if (--job->ranges_pending > 0) return;
-  // Device "digests items in Info Area and increases the head's value":
-  // retire this command's records — even for failed commands, so the ring
-  // never leaks. release() keeps the head correct when concurrent commands
-  // (demand + speculative prefetch) retire out of push order.
-  for (const FgRange& r : job->cmd.ranges)
-    hmb_.info().release(r.info_index, sim_.now());
-  recycle_fg_ranges(std::move(job->cmd.ranges));
-  const CmdStatus status =
-      job->media_failed ? CmdStatus::kMediaError : CmdStatus::kOk;
-  const bool drop = job->drop_completion;
-  Completion done = std::move(job->done);
-  release_fg_job(job);
-  if (drop) {
-    // Injected lost completion: the work happened but the CQ entry never
-    // arrives. The host's timeout guard is responsible for recovery.
-    ++stats_.dropped_completions;
-    return;
-  }
-  complete(done, CommandResult{sim_.now(), 0, status});
+// Once every range of every page has been DMAed, retire the command (which
+// advances the Info Area head past all of its records).
+void SsdController::fg_range_done(Job* job) {
+  if (--job->pending > 0) return;
+  retire(job, job->failed ? CmdStatus::kMediaError : CmdStatus::kOk);
 }
 
-void SsdController::do_fg_read(Command cmd, Completion done) {
+void SsdController::do_fg_read(Job* job) {
   ++stats_.fg_reads;
-  stats_.fg_ranges += cmd.ranges.size();
-  PIPETTE_ASSERT(!cmd.ranges.empty());
-
-  FgJob* job = acquire_fg_job(std::move(cmd), std::move(done));
-  job->ranges_pending = static_cast<std::uint32_t>(job->cmd.ranges.size());
+  stats_.fg_ranges += job->cmd.ranges.size();
+  PIPETTE_ASSERT(!job->cmd.ranges.empty());
+  job->pending = static_cast<std::uint32_t>(job->cmd.ranges.size());
 
   // Injected HMB/DMA faults are decided up front — one fixed-order pair of
   // draws per command — so the fault stream replays identically regardless
@@ -475,25 +393,13 @@ void SsdController::do_fg_read(Command cmd, Completion done) {
     // Info Area records so the ring stays in sync; kHmbFault tells the host
     // to fall back to the block path.
     ++stats_.hmb_dma_faults;
-    sim_.schedule(hf.fault_latency, [this, job]() {
-      for (const FgRange& r : job->cmd.ranges)
-        hmb_.info().release(r.info_index, sim_.now());
-      recycle_fg_ranges(std::move(job->cmd.ranges));
-      const bool drop = job->drop_completion;
-      Completion done = std::move(job->done);
-      release_fg_job(job);
-      if (drop) {
-        ++stats_.dropped_completions;
-        return;
-      }
-      complete(done, CommandResult{sim_.now(), 0, CmdStatus::kHmbFault});
-    });
+    sim_.schedule(hf.fault_latency,
+                  [this, job]() { retire(job, CmdStatus::kHmbFault); });
     return;
   }
 
   // Phase 1: group ranges by page and load each distinct page once.
   group_ranges_by_page(*job, /*with_offsets=*/false);
-  job->pages_pending = static_cast<std::uint32_t>(job->pages_used);
 
   // Snapshot the page count: a buffer hit runs the staging callback
   // synchronously, and the last one may retire (and recycle) the job.
@@ -504,7 +410,7 @@ void SsdController::do_fg_read(Command cmd, Completion done) {
         // The page never reached the buffer; its ranges cannot be
         // extracted. Retire them anyway so the fan-in completes (with
         // kMediaError) and the Info Area head still advances.
-        job->media_failed = true;
+        job->failed = true;
         const std::size_t n = job->by_page[gi].ranges.size();
         for (std::size_t i = 0; i < n; ++i) fg_range_done(job);
         return;
@@ -520,9 +426,8 @@ void SsdController::do_fg_read(Command cmd, Completion done) {
                            sim_.now() + config_.timing.firmware_per_range);
         sim_.schedule(config_.timing.firmware_per_range, [this, job, rec]() {
           fine_dma(rec.byte_len, [this, job, rec]() {
-            std::vector<std::uint8_t> tmp(rec.byte_len);
-            content_.read(rec.lba, rec.byte_offset, {tmp.data(), tmp.size()});
-            hmb_.dma_write(rec.dest, {tmp.data(), tmp.size()});
+            content_.read(rec.lba, rec.byte_offset,
+                          hmb_.dma_window(rec.dest, rec.byte_len));
             stats_.bytes_to_host += rec.byte_len;
             fg_range_done(job);
           });
@@ -537,23 +442,21 @@ void SsdController::do_fg_read(Command cmd, Completion done) {
 // read-modify-write internally — load the page into the read buffer, patch
 // the ranges, allocate a fresh physical page and program it. The host never
 // moves the untouched remainder of the page.
-void SsdController::do_fg_write(Command cmd, Completion done) {
+void SsdController::do_fg_write(Job* job) {
   ++stats_.fg_writes;
-  stats_.fg_ranges += cmd.ranges.size();
-  PIPETTE_ASSERT(!cmd.ranges.empty());
+  stats_.fg_ranges += job->cmd.ranges.size();
+  PIPETTE_ASSERT(!job->cmd.ranges.empty());
   std::uint64_t payload = 0;
-  for (const FgRange& r : cmd.ranges) payload += r.len;
-  PIPETTE_ASSERT(cmd.write_data.size() == payload);
+  for (const FgRange& r : job->cmd.ranges) payload += r.len;
+  PIPETTE_ASSERT(job->cmd.write_data.size() == payload);
   stats_.bytes_from_host += payload;
-
-  FgJob* job = acquire_fg_job(std::move(cmd), std::move(done));
 
   // Host -> device payload DMA first, then per-page RMW.
   pcie_.dma(payload, [this, job]() {
     // Group ranges by page, remembering where each range's payload bytes
     // sit within write_data.
     group_ranges_by_page(*job, /*with_offsets=*/true);
-    job->pages_pending = static_cast<std::uint32_t>(job->pages_used);
+    job->pending = static_cast<std::uint32_t>(job->pages_used);
 
     // Snapshot as in do_fg_read: the last synchronous buffer hit may
     // retire the job before this loop finishes.
@@ -563,7 +466,7 @@ void SsdController::do_fg_write(Command cmd, Completion done) {
         if (!ok) {
           // RMW source page unreadable: skip the patch/program; the write
           // fails as a whole once the fan-in drains.
-          job->media_failed = true;
+          job->failed = true;
         } else {
           // Patch the buffered page and persist to a fresh physical page.
           for (const auto& [r, data_off] : job->by_page[gi].ranges) {
@@ -593,34 +496,25 @@ void SsdController::do_fg_write(Command cmd, Completion done) {
             nand_.program_page(p.addr, [] {});
           });
         }
-        if (--job->pages_pending == 0) {
-          recycle_fg_ranges(std::move(job->cmd.ranges));
-          const CmdStatus status = job->media_failed
-                                       ? CmdStatus::kMediaError
-                                       : CmdStatus::kOk;
-          Completion done = std::move(job->done);
-          release_fg_job(job);
-          complete(done, CommandResult{sim_.now(), 0, status});
-        }
+        if (--job->pending == 0)
+          retire(job, job->failed ? CmdStatus::kMediaError : CmdStatus::kOk);
       });
     }
   });
 }
 
-void SsdController::do_read_to_cmb(Command cmd, Completion done) {
+void SsdController::do_read_to_cmb(Job* job) {
   ++stats_.cmb_reads;
-  PIPETTE_ASSERT(cmd.nlb == 1);
-  const Lba lba = cmd.lba;
-  stage_page(lba, [this, lba, done = std::move(done)](bool ok) mutable {
+  PIPETTE_ASSERT(job->cmd.nlb == 1);
+  stage_page(job->cmd.lba, [this, job](bool ok) {
     if (!ok) {
-      complete(done, CommandResult{sim_.now(), 0, CmdStatus::kMediaError});
+      retire(job, CmdStatus::kMediaError);
       return;
     }
+    // The page is synthesized straight into the claimed slot.
     const std::uint32_t slot = cmb_.claim_slot();
-    std::vector<std::uint8_t> page(kBlockSize);
-    content_.read(lba, 0, {page.data(), page.size()});
-    cmb_.fill(slot, {page.data(), page.size()});
-    complete(done, CommandResult{sim_.now(), slot});
+    content_.read(job->cmd.lba, 0, cmb_.slot(slot));
+    retire(job, CmdStatus::kOk, slot);
   });
 }
 

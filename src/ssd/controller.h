@@ -142,7 +142,7 @@ class SsdController {
   using Completion = std::function<void(const CommandResult&)>;
 
   SsdController(Simulator& sim, const ControllerConfig& config);
-  ~SsdController();  // out-of-line: job pool types are private/incomplete
+  ~SsdController();  // out-of-line: Job is private/incomplete here
 
   /// Submit a command; `done` runs at completion time on the simulator.
   void submit(Command cmd, Completion done);
@@ -181,15 +181,14 @@ class SsdController {
  private:
   // Every lambda the controller schedules on the simulator must stay under
   // the Simulator::Callback small-buffer limit, or each event heap-allocates
-  // again. Per-command state (the Command itself, the host completion,
-  // fan-in counters, the by-page range grouping) therefore lives in pooled
-  // job records, and the scheduled closures capture only {this, job pointer}
-  // or {this, small index} — a few machine words. Note Completion stays a
-  // std::function on purpose: at 32 bytes it nests inside a Callback capture
-  // together with a CommandResult (48 bytes total, exactly the SBO limit),
-  // which an SBO'd completion type could not.
-  struct FgJob;
-  struct BlockJob;
+  // again. Per-command state (the Command itself, the host completion, the
+  // fan-in counter, the by-page range grouping) therefore lives in one
+  // pooled Job record taken at submit(), and the scheduled closures capture
+  // only {this, job pointer} or {this, small index} — a few machine words.
+  // Note Completion stays a std::function on purpose: at 32 bytes it nests
+  // inside a Callback capture together with a CommandResult (48 bytes total,
+  // exactly the SBO limit), which an SBO'd completion type could not.
+  struct Job;
 
   /// Staging continuation: receives whether the page actually landed in the
   /// buffer (false after a terminal NAND media error). Same SBO budget as
@@ -216,28 +215,24 @@ class SsdController {
   /// into the HMB, or the dedicated CXL link into the LMB.
   void fine_dma(std::uint64_t bytes, Simulator::Callback on_done);
 
-  void do_block_read(Command cmd, Completion done);
-  void do_block_write(Command cmd, Completion done);
-  void do_fg_read(Command cmd, Completion done);
-  void do_fg_write(Command cmd, Completion done);
-  void do_read_to_cmb(Command cmd, Completion done);
+  void do_block_read(Job* job);
+  void do_block_write(Job* job);
+  void do_fg_read(Job* job);
+  void do_fg_write(Job* job);
+  void do_read_to_cmb(Job* job);
 
-  void complete(Completion& done, CommandResult result);
+  /// Hand `job` back to the pool and schedule its completion (unless the
+  /// fault plan dropped it). A fine read first releases its Info Area
+  /// records; fine commands recycle their range vector.
+  void retire(Job* job, CmdStatus status, std::uint32_t cmb_slot = 0);
 
-  /// Group job->cmd.ranges by page into job->by_page (sorted by Lba, ranges
+  /// Group job.cmd.ranges by page into job.by_page (sorted by Lba, ranges
   /// in submission order within a page — the legacy std::map iteration
   /// order). With `with_offsets`, each entry also records the byte offset
   /// of its payload within cmd.write_data (kFgWrite).
-  void group_ranges_by_page(FgJob& job, bool with_offsets);
+  void group_ranges_by_page(Job& job, bool with_offsets);
 
-  FgJob* acquire_fg_job(Command cmd, Completion done);
-  void release_fg_job(FgJob* job);
-  void fg_range_done(FgJob* job);
-
-  BlockJob* acquire_block_job(Command cmd, Completion done);
-  void finish_block_job(BlockJob* job, CmdStatus status);
-
-  std::uint32_t acquire_stage_slot(StageCallback ready);
+  void fg_range_done(Job* job);
 
   Simulator& sim_;
   ControllerConfig config_;
@@ -248,26 +243,15 @@ class SsdController {
   Hmb hmb_;
   Cmb cmb_;
   FaultInjector hmb_faults_;  // kHmbDma sub-stream of config.faults.seed
-  void recycle_fg_ranges(std::vector<FgRange>&& ranges);
 
   LruMap<Lba, char> read_buffer_;  // presence set over device DRAM pages
   ControllerStats stats_;
   std::vector<std::vector<FgRange>> fg_range_pool_;
 
-  // Command submissions parked between submit() and the firmware event.
-  struct PendingCmd {
-    Command cmd;
-    Completion done;
-  };
-  std::vector<PendingCmd> pending_cmds_;
-  std::vector<std::uint32_t> pending_free_;
-
-  // In-flight job pools (unique_ptr slabs keep job pointers stable while
-  // the free lists make the steady state allocation-free).
-  std::vector<std::unique_ptr<FgJob>> fg_job_pool_;
-  std::vector<FgJob*> fg_job_free_;
-  std::vector<std::unique_ptr<BlockJob>> block_job_pool_;
-  std::vector<BlockJob*> block_job_free_;
+  // In-flight command records (a unique_ptr slab keeps job pointers stable
+  // while the free list makes the steady state allocation-free).
+  std::vector<std::unique_ptr<Job>> job_pool_;
+  std::vector<Job*> job_free_;
 
   // Parked `ready` continuations of stage_page() NAND reads. The slot also
   // carries the read's verdict: read_page() decides success at submission,
@@ -277,13 +261,13 @@ class SsdController {
   struct StageSlot {
     StageCallback ready;
     bool ok = true;
-    std::uint32_t pending = 1;
+    std::uint32_t pending = 0;
   };
   std::vector<StageSlot> stage_slots_;
   std::vector<std::uint32_t> stage_free_;
 
   // One in-flight decoupled GC episode (MU < page): the page-buffer reads
-  // fan in, then the merged programs issue. Pooled like the job records.
+  // fan in, then the merged programs issue. Pooled like the stage slots.
   struct GcBatch {
     std::uint32_t reads_pending = 0;
     std::vector<PageProgram> programs;

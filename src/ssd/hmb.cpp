@@ -46,9 +46,9 @@ Hmb::Hmb(const Layout& layout)
       info_(layout.info_slots),
       bytes_(data_offset_ + layout.data_bytes, 0) {}
 
-void Hmb::dma_write(HmbAddr dest, std::span<const std::uint8_t> src) {
-  PIPETTE_ASSERT(dest + src.size() <= bytes_.size());
-  std::memcpy(bytes_.data() + dest, src.data(), src.size());
+std::span<std::uint8_t> Hmb::dma_window(HmbAddr dest, std::uint64_t len) {
+  PIPETTE_ASSERT(dest + len <= bytes_.size());
+  return {bytes_.data() + dest, static_cast<std::size_t>(len)};
 }
 
 void Hmb::read(HmbAddr src, std::span<std::uint8_t> out) const {

@@ -130,8 +130,9 @@ class Hmb {
   HmbAddr data_offset() const { return data_offset_; }
   std::uint64_t size() const { return bytes_.size(); }
 
-  /// Device-side write into the HMB (the landing of a DMA).
-  void dma_write(HmbAddr dest, std::span<const std::uint8_t> src);
+  /// Device-side landing window of a DMA: the `len` bytes at `dest`, which
+  /// the device writes in place.
+  std::span<std::uint8_t> dma_window(HmbAddr dest, std::uint64_t len);
 
   /// Host-side read out of the HMB (plain memory load).
   void read(HmbAddr src, std::span<std::uint8_t> out) const;

@@ -129,9 +129,8 @@ TEST(Simulator, CallbackPushesRunInScheduleOrder) {
     std::uint64_t budget = 4000;
 
     void spawn() {
-      static constexpr SimDuration kDeltas[] = {0,      0,     1,
-                                                480,    3'200, 65'000,
-                                                20'000'000};
+      static constexpr SimDuration kDeltas[] = {
+          0, 0, 1, 480, 3'200, 65'000, 99'999, 20'000'000, 40'000'000};
       const std::uint64_t id = next_id++;
       const SimDuration d = kDeltas[rng.next_below(std::size(kDeltas))];
       sim->schedule(d, [this, id] {

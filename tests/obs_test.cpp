@@ -22,11 +22,6 @@ namespace {
 constexpr std::uint64_t kSeed = 42;
 constexpr RunConfig kRun{/*requests=*/8'000, /*warmup=*/2'000};
 
-// False in a -DPIPETTE_TRACE=OFF build: the span macros compile to nothing,
-// so tests asserting that spans were *recorded* skip (the determinism
-// assertions still run — an untraceable build trivially satisfies them).
-constexpr bool kTraceCompiled = PIPETTE_TRACE_ENABLED != 0;
-
 SyntheticWorkload make_workload() {
   SyntheticConfig sc = table1_workload('C', Distribution::kUniform, kSeed);
   sc.file_size = 32 * kMiB;
@@ -52,12 +47,10 @@ TEST(Tracing, OnOffBitIdentical) {
         << "tracing perturbed " << to_string(kind);
 
     // The traced run actually observed something...
-    if (kTraceCompiled) {
-      std::uint64_t spans = 0;
-      for (const LatencyHistogram& h : on.stage_latency) spans += h.count();
-      EXPECT_GT(spans, 0u) << to_string(kind);
-      EXPECT_FALSE(on.trace_spans.empty()) << to_string(kind);
-    }
+    std::uint64_t spans = 0;
+    for (const LatencyHistogram& h : on.stage_latency) spans += h.count();
+    EXPECT_GT(spans, 0u) << to_string(kind);
+    EXPECT_FALSE(on.trace_spans.empty()) << to_string(kind);
     // ...and the untraced one paid nothing for not observing.
     EXPECT_TRUE(off.stage_latency.empty());
     EXPECT_TRUE(off.trace_spans.empty());
@@ -65,7 +58,6 @@ TEST(Tracing, OnOffBitIdentical) {
 }
 
 TEST(Tracing, EveryRequestTraced) {
-  if (!kTraceCompiled) GTEST_SKIP() << "tracing compiled out";
   const RunResult r = run_cell(PathKind::kPipette, /*traced=*/true);
   // host_submit opens every read and write, warmup included.
   const auto submit = static_cast<std::size_t>(Stage::kHostSubmit);
@@ -74,7 +66,6 @@ TEST(Tracing, EveryRequestTraced) {
 }
 
 TEST(Tracing, RespectsMaxSpans) {
-  if (!kTraceCompiled) GTEST_SKIP() << "tracing compiled out";
   MachineConfig config = default_machine(PathKind::kBlockIo);
   config.trace.enabled = true;
   config.trace.max_spans = 64;
@@ -111,7 +102,6 @@ TEST(Fleet, TracedFleetDeterministicAcrossJobs) {
 
   // Cross-shard decomposition merged bucket-wise: stage counts are the sums
   // of the per-shard counts.
-  if (!kTraceCompiled) return;
   ASSERT_FALSE(on_serial.stage_latency.empty());
   const auto submit = static_cast<std::size_t>(Stage::kHostSubmit);
   std::uint64_t per_shard = 0;
@@ -122,7 +112,6 @@ TEST(Fleet, TracedFleetDeterministicAcrossJobs) {
 }
 
 TEST(ChromeTrace, ExportsValidJson) {
-  if (!kTraceCompiled) GTEST_SKIP() << "tracing compiled out";
   RunResult r = run_cell(PathKind::kPipette, /*traced=*/true);
   ASSERT_FALSE(r.trace_spans.empty());
   std::vector<ShardTrace> shards;

@@ -52,7 +52,7 @@ TEST(HmbZeroInit, FreshRegionReadsZeroAndLastByteRoundTrips) {
 
   const HmbAddr last = hmb.size() - 1;
   const std::uint8_t in = 0xa5;
-  hmb.dma_write(last, {&in, 1});
+  hmb.dma_window(last, 1)[0] = in;
   std::uint8_t tail[2] = {0xff, 0xff};
   hmb.read(last - 1, {tail, 2});
   EXPECT_EQ(tail[0], 0u);  // the neighbour stays zero
@@ -94,8 +94,7 @@ TEST_F(SlabStoreFixture, AddressesAreItemAligned) {
 TEST_F(SlabStoreFixture, DataViewSeesHmbBytes) {
   auto loc = store.allocate({1, 0, 64});
   ASSERT_TRUE(loc);
-  std::vector<std::uint8_t> payload(64, 0x3C);
-  hmb.dma_write(store.hmb_addr(*loc), {payload.data(), payload.size()});
+  std::ranges::fill(hmb.dma_window(store.hmb_addr(*loc), 64), 0x3C);
   auto view = store.data(*loc);
   ASSERT_EQ(view.size(), 64u);
   for (auto b : view) EXPECT_EQ(b, 0x3C);
@@ -144,9 +143,8 @@ TEST_F(SlabStoreFixture, ExternalizeFreesSlabAndKeepsData) {
   for (std::uint64_t i = 0; i < 2 * (8192 / 64); ++i) {
     auto loc = store.allocate({1, i * 64, 64});
     ASSERT_TRUE(loc);
-    std::vector<std::uint8_t> payload(64,
-                                      static_cast<std::uint8_t>(i & 0xff));
-    hmb.dma_write(store.hmb_addr(*loc), {payload.data(), payload.size()});
+    std::ranges::fill(hmb.dma_window(store.hmb_addr(*loc), 64),
+                      static_cast<std::uint8_t>(i & 0xff));
     locs.push_back(*loc);
   }
   const std::uint32_t free_before = store.free_slabs();
@@ -332,8 +330,7 @@ struct FgrcFixture : ::testing::Test {
 
   // Simulate the device filling the planned destination.
   void fill(const MissPlan& plan, std::uint8_t value, std::uint32_t len) {
-    std::vector<std::uint8_t> payload(len, value);
-    hmb.dma_write(plan.dest, {payload.data(), payload.size()});
+    std::ranges::fill(hmb.dma_window(plan.dest, len), value);
   }
 };
 

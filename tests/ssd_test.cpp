@@ -3,9 +3,14 @@
 // including the device-side Fine-Grained Read Engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/inline_function.h"
+#include "common/rng.h"
+#include "counting_new.h"
 #include "des/simulator.h"
 #include "ssd/controller.h"
 
@@ -263,7 +268,7 @@ TEST(Hmb, LayoutPartitionsDoNotOverlap) {
 TEST(Hmb, DmaWriteThenRead) {
   Hmb hmb({8, 256, 1024});
   std::vector<std::uint8_t> in{9, 8, 7};
-  hmb.dma_write(hmb.data_offset() + 10, {in.data(), in.size()});
+  std::ranges::copy(in, hmb.dma_window(hmb.data_offset() + 10, 3).begin());
   std::vector<std::uint8_t> out(3);
   hmb.read(hmb.data_offset() + 10, {out.data(), out.size()});
   EXPECT_EQ(in, out);
@@ -281,8 +286,7 @@ TEST(Cmb, SlotsRecycleRoundRobin) {
 
 TEST(Cmb, FillAndReadBack) {
   Cmb cmb(2);
-  std::vector<std::uint8_t> page(kBlockSize, 0x5A);
-  cmb.fill(1, {page.data(), page.size()});
+  std::ranges::fill(cmb.slot(1), 0x5A);
   auto view = cmb.slot(1);
   EXPECT_EQ(view[0], 0x5A);
   EXPECT_EQ(view[kBlockSize - 1], 0x5A);
@@ -695,6 +699,269 @@ TEST_F(ControllerFixture, WriteInvalidatesDeviceReadBuffer) {
   // Second read re-staged from NAND (buffer was invalidated).
   EXPECT_EQ(ctrl.stats().read_buffer.misses(), 2u);
 }
+
+// Once warm, the read flows allocate nothing per command: the command
+// records, stage slots, range vectors and event nodes are all recycled, and
+// the device writes each payload straight into its destination (the PRP
+// list, the HMB, the CMB slot) rather than through a bounce buffer.
+TEST_F(ControllerFixture, WarmReadCommandsAreAllocationFree) {
+  InfoArea& info = ctrl.hmb().info();
+  const HmbAddr base = ctrl.hmb().data_offset();
+  constexpr std::uint32_t kRangeLen = 128;
+  std::vector<std::uint8_t> buf(4 * kBlockSize);
+  const std::vector<std::uint8_t*> dests = pages_of(buf);
+  Rng rng(31);
+  std::uint64_t ok = 0;
+  std::uint64_t mismatches = 0;
+  CommandResult cmb_result;
+  // Completions capture at most 16 bytes, so std::function keeps them
+  // inline.
+  const auto count_ok = [&ok](const CommandResult& r) {
+    ok += r.status == CmdStatus::kOk;
+  };
+
+  // One round: a block read, a fine read and a CMB read in flight together,
+  // over 256 pages against a 64-page read buffer (hits and misses both).
+  auto round = [&] {
+    Command block;
+    block.op = Opcode::kRead;
+    block.lba = rng.next_below(256);
+    block.nlb = 1 + static_cast<std::uint32_t>(rng.next_below(4));
+    block.host_pages = std::span(dests).first(block.nlb);
+    const Lba block_lba = block.lba;
+    const std::uint32_t nlb = block.nlb;
+    ctrl.submit(std::move(block), count_ok);
+
+    Command fine;
+    fine.op = Opcode::kFgRead;
+    fine.ranges = ctrl.take_fg_ranges();
+    const std::uint64_t n = 1 + rng.next_below(4);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      // A few pages only, so ranges often share a page group.
+      const Lba lba = rng.next_below(6);
+      const std::uint32_t off = i * kRangeLen;
+      fine.ranges.push_back(
+          {lba, off, kRangeLen,
+           info.push({base + off, lba, off, kRangeLen}, sim.now())});
+    }
+    std::array<FgRange, 4> sent{};
+    std::copy(fine.ranges.begin(), fine.ranges.end(), sent.begin());
+    ctrl.submit(std::move(fine), count_ok);
+
+    Command cmb;
+    cmb.op = Opcode::kReadToCmb;
+    cmb.lba = rng.next_below(256);
+    const Lba cmb_lba = cmb.lba;
+    ctrl.submit(std::move(cmb), [&ok, &cmb_result](const CommandResult& r) {
+      ok += r.status == CmdStatus::kOk;
+      cmb_result = r;
+    });
+    sim.run_all();
+
+    for (std::uint32_t p = 0; p < nlb; ++p) {
+      for (std::uint32_t b : {0u, kBlockSize / 2, kBlockSize - 1})
+        mismatches += dests[p][b] != ctrl.content().pristine_byte(
+                                         block_lba + p, b);
+    }
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const FgRange& r = sent[i];
+      const std::uint8_t* got = ctrl.hmb().raw().data() + base + r.offset;
+      for (std::uint32_t b = 0; b < r.len; ++b)
+        mismatches += got[b] != ctrl.content().pristine_byte(r.lba,
+                                                             r.offset + b);
+    }
+    constexpr std::uint32_t kTail = kBlockSize - 64;
+    std::array<std::uint8_t, 64> pulled{};
+    ctrl.read_from_cmb(cmb_result.cmb_slot, kTail, pulled, false);
+    for (std::uint32_t b = 0; b < pulled.size(); ++b)
+      mismatches +=
+          pulled[b] != ctrl.content().pristine_byte(cmb_lba, kTail + b);
+  };
+
+  // Warm every pool to its peak. The command records are shared by all
+  // opcodes, so it takes a while before each one has held a fine read with
+  // the widest page grouping.
+  for (int i = 0; i < 2000; ++i) round();
+
+  const std::uint64_t ok_before = ok;
+  const std::uint64_t hits_before = ctrl.stats().read_buffer.hits();
+  const std::uint64_t misses_before = ctrl.stats().read_buffer.misses();
+  const std::uint64_t news_before =
+      g_operator_new_calls.load(std::memory_order_relaxed);
+  const std::uint64_t heap_before = inline_function_heap_allocations();
+  constexpr int kRounds = 1000;
+  for (int i = 0; i < kRounds; ++i) round();
+  const std::uint64_t news_delta =
+      g_operator_new_calls.load(std::memory_order_relaxed) - news_before;
+  const std::uint64_t heap_delta =
+      inline_function_heap_allocations() - heap_before;
+
+  EXPECT_EQ(news_delta, 0u);
+  EXPECT_EQ(heap_delta, 0u);
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_EQ(ok - ok_before, 3u * kRounds);
+  EXPECT_TRUE(info.empty());
+  EXPECT_GT(ctrl.stats().read_buffer.hits(), hits_before + 100);
+  EXPECT_GT(ctrl.stats().read_buffer.misses(), misses_before + 100);
+}
+
+// --- Retire paths, at MU = page and MU = 512 ---
+//
+// Every way a fine command can end goes through the controller's one retire
+// path: it must release the Info Area records, recycle the range vector,
+// and deliver (or, when the fault plan drops it, withhold) exactly one
+// completion.
+
+class RetirePath : public ::testing::TestWithParam<std::uint32_t> {
+ protected:
+  struct Rig {
+    Simulator sim;
+    SsdController ctrl;
+    int completions = 0;
+    CommandResult last;
+
+    explicit Rig(const ControllerConfig& config) : ctrl(sim, config) {}
+
+    // One 64-byte range at offset 256 of each of `pages` consecutive LBAs
+    // from `lba0`, landing at consecutive 64-byte HMB destinations.
+    void submit_fine_read(Lba lba0, std::uint32_t pages) {
+      Command cmd;
+      cmd.op = Opcode::kFgRead;
+      cmd.ranges = ctrl.take_fg_ranges();
+      InfoArea& info = ctrl.hmb().info();
+      for (std::uint32_t i = 0; i < pages; ++i) {
+        const HmbAddr dest = ctrl.hmb().data_offset() + i * 64;
+        cmd.ranges.push_back(
+            {lba0 + i, 256, 64, info.push({dest, lba0 + i, 256, 64})});
+      }
+      submit(std::move(cmd));
+    }
+
+    void submit(Command cmd) {
+      ctrl.submit(std::move(cmd), [this](const CommandResult& r) {
+        ++completions;
+        last = r;
+      });
+    }
+
+    // The HMB bytes of range i of submit_fine_read(lba0, ...) are right.
+    bool landed(Lba lba0, std::uint32_t i) {
+      const std::uint8_t* at =
+          ctrl.hmb().raw().data() + ctrl.hmb().data_offset() + i * 64;
+      for (std::uint32_t b = 0; b < 64; ++b)
+        if (at[b] != ctrl.content().pristine_byte(lba0 + i, 256 + b))
+          return false;
+      return true;
+    }
+  };
+
+  ControllerConfig config() const {
+    ControllerConfig c = test_config();
+    c.mapping_unit = GetParam();
+    return c;
+  }
+
+  // What every retire path leaves behind: no Info record in flight and the
+  // command's range vector back in the pool.
+  static void expect_retired(Rig& rig) {
+    EXPECT_EQ(rig.ctrl.hmb().info().in_flight(), 0u);
+    EXPECT_GT(rig.ctrl.take_fg_ranges().capacity(), 0u);
+  }
+};
+
+TEST_P(RetirePath, HmbFaultCompletesWithFaultStatus) {
+  ControllerConfig c = config();
+  c.faults.hmb.dma_fault_rate = 1.0;
+  Rig rig(c);
+  rig.submit_fine_read(10, 2);
+  rig.sim.run_all();
+  EXPECT_EQ(rig.completions, 1);
+  EXPECT_EQ(rig.last.status, CmdStatus::kHmbFault);
+  EXPECT_EQ(rig.ctrl.stats().hmb_dma_faults, 1u);
+  EXPECT_EQ(rig.ctrl.stats().dropped_completions, 0u);
+  EXPECT_EQ(rig.ctrl.nand().stats().page_reads, 0u);  // aborted before NAND
+  EXPECT_EQ(rig.ctrl.stats().bytes_to_host, 0u);
+  expect_retired(rig);
+}
+
+TEST_P(RetirePath, HmbFaultWithDroppedCompletionNeverCompletes) {
+  ControllerConfig c = config();
+  c.faults.hmb.dma_fault_rate = 1.0;
+  c.faults.hmb.drop_rate = 1.0;
+  Rig rig(c);
+  rig.submit_fine_read(10, 2);
+  rig.sim.run_all();
+  EXPECT_EQ(rig.completions, 0);
+  EXPECT_EQ(rig.ctrl.stats().hmb_dma_faults, 1u);
+  EXPECT_EQ(rig.ctrl.stats().dropped_completions, 1u);
+  expect_retired(rig);
+}
+
+TEST_P(RetirePath, DroppedCompletionStillLandsTheBytes) {
+  ControllerConfig c = config();
+  c.faults.hmb.drop_rate = 1.0;
+  Rig rig(c);
+  rig.submit_fine_read(10, 2);
+  rig.sim.run_all();
+  EXPECT_EQ(rig.completions, 0);
+  EXPECT_EQ(rig.ctrl.stats().hmb_dma_faults, 0u);
+  EXPECT_EQ(rig.ctrl.stats().dropped_completions, 1u);
+  EXPECT_TRUE(rig.landed(10, 0));
+  EXPECT_TRUE(rig.landed(10, 1));
+  EXPECT_EQ(rig.ctrl.stats().bytes_to_host, 2u * 64);
+  expect_retired(rig);
+}
+
+TEST_P(RetirePath, MediaErrorOnOnePageFailsTheFineRead) {
+  // Each sensing pass fails with probability 1/2 and there is no retry, so
+  // some fault seed fails exactly one of the two pages; take the first.
+  ControllerConfig c = config();
+  c.faults.nand.read_error_rate = 0.5;
+  c.faults.nand.max_attempts = 1;
+  for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+    c.faults.seed = seed;
+    Rig rig(c);
+    rig.submit_fine_read(10, 2);
+    rig.sim.run_all();
+    if (rig.ctrl.nand().stats().read_failures != 1) continue;
+    EXPECT_EQ(rig.completions, 1);
+    EXPECT_EQ(rig.last.status, CmdStatus::kMediaError);
+    EXPECT_EQ(rig.ctrl.stats().media_errors, 1u);
+    EXPECT_EQ(rig.ctrl.stats().dropped_completions, 0u);
+    // The readable page's range still reached the host.
+    EXPECT_EQ(rig.ctrl.stats().bytes_to_host, 64u);
+    EXPECT_NE(rig.landed(10, 0), rig.landed(10, 1));
+    expect_retired(rig);
+    return;
+  }
+  FAIL() << "no seed in 1..64 failed exactly one of the two pages";
+}
+
+TEST_P(RetirePath, FineWriteWithUnreadableSourcePageFails) {
+  ControllerConfig c = config();
+  c.faults.nand.read_error_rate = 1.0;
+  c.faults.nand.max_attempts = 2;
+  Rig rig(c);
+  Command cmd;
+  cmd.op = Opcode::kFgWrite;
+  cmd.ranges = rig.ctrl.take_fg_ranges();
+  cmd.ranges.push_back({12, 100, 64, 0});
+  cmd.write_data.assign(64, 0xCD);
+  rig.submit(std::move(cmd));
+  rig.sim.run_all();
+  EXPECT_EQ(rig.completions, 1);
+  EXPECT_EQ(rig.last.status, CmdStatus::kMediaError);
+  EXPECT_EQ(rig.ctrl.stats().media_errors, 1u);
+  // The read-modify-write never patched or programmed anything.
+  EXPECT_EQ(rig.ctrl.content().dirty_blocks(), 0u);
+  EXPECT_EQ(rig.ctrl.nand().stats().page_programs, 0u);
+  expect_retired(rig);
+}
+
+INSTANTIATE_TEST_SUITE_P(Mu, RetirePath, ::testing::Values(4096u, 512u),
+                         [](const ::testing::TestParamInfo<std::uint32_t>& i) {
+                           return "mu" + std::to_string(i.param);
+                         });
 
 }  // namespace
 }  // namespace pipette
