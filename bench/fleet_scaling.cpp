@@ -49,6 +49,15 @@ const char* dist_name(Distribution d) {
   return d == Distribution::kUniform ? "uniform" : "zipf";
 }
 
+/// Column header "x<shards>". Appended rather than built with
+/// `"x" + std::to_string(shards)`, which trips GCC 12's -Wrestrict false
+/// positive in optimised builds.
+std::string shard_label(std::size_t shards) {
+  std::string label = "x";
+  label += std::to_string(shards);
+  return label;
+}
+
 double host_events_per_sec(const FleetResult& r) {
   return r.host_seconds > 0.0
              ? static_cast<double>(r.events_executed) / r.host_seconds
@@ -184,7 +193,7 @@ int main(int argc, char** argv) {
   for (Distribution dist : {Distribution::kUniform, Distribution::kZipf}) {
     std::vector<std::string> headers{"System"};
     for (std::size_t shards : shard_counts)
-      headers.push_back("x" + std::to_string(shards));
+      headers.push_back(shard_label(shards));
     std::printf("-- %s: fleet throughput (Mreq/s) --\n", dist_name(dist));
     Table rps(headers);
     Table p99(headers);
@@ -228,7 +237,7 @@ int main(int argc, char** argv) {
     std::printf("-- cores x shards: host Mevents/s (Pipette, uniform) --\n");
     std::vector<std::string> headers{"Cores"};
     for (std::size_t shards : shard_counts)
-      headers.push_back("x" + std::to_string(shards));
+      headers.push_back(shard_label(shards));
     Table t(headers);
     bool all_match = true;
     for (unsigned cores : core_counts) {

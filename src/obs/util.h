@@ -27,11 +27,13 @@
 // a self-test, not a model validation.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <queue>
 #include <string>
 #include <vector>
 
+#include "common/assert.h"
 #include "common/units.h"
 #include "obs/metrics.h"
 
@@ -41,78 +43,141 @@ class Table;
 
 /// Busy/wait/depth accounting for one serialised resource (or a pool of
 /// identical units accounted together, e.g. all NAND dies). record() is
-/// called at op submission with the already-computed horizon times; the
-/// depth sweep drains lazily up to the recording sim time and fully at
-/// collection, so recording is O(log in-flight) with no event-queue access.
+/// called at op submission with the already-computed horizon times. The
+/// depth sweep is batched: record() inserts the op's +1 (arrival) and -1
+/// (end) edges into two sorted runs, and every kBatch records, or on any
+/// depth query, one merge of the two runs sweeps the edges up to the
+/// latest `now`. Arrivals and ends come in nearly sorted, so insertion
+/// rarely shifts; recording costs O(1) amortised, touches no event queue
+/// and allocates nothing while at most kBatch ops are in flight.
 class ResourceUsage {
  public:
+  ResourceUsage() {
+    arrivals_.reserve(kRunCapacity);
+    ends_.reserve(kRunCapacity);
+    arrivals_.push_back(kNever);
+    ends_.push_back(kNever);
+  }
+
   /// Account one operation: queued at `arrival`, service [start, end).
-  /// `now` is the current sim time (drain limit: edge events later than
-  /// `now` may belong to ops not yet submitted, so they stay pending).
-  /// Requires arrival >= any previous `now` and arrival <= start <= end.
+  /// `now` is the current sim time (sweep limit: edges later than `now`
+  /// may belong to ops not yet submitted, so they stay pending).
+  /// Requires `now` and `arrival` >= every earlier `now` (record or query)
+  /// and arrival <= start <= end: the sweep never revisits swept time.
   void record(SimTime now, SimTime arrival, SimTime start, SimTime end) {
+    PIPETTE_ASSERT_MSG(now >= last_now_ && arrival >= last_now_,
+                       "ResourceUsage: op recorded behind the swept time");
+    PIPETTE_ASSERT_MSG(arrival <= start && start <= end,
+                       "ResourceUsage: arrival <= start <= end violated");
+    last_now_ = now;
     ++ops_;
     busy_ns_ += end - start;
     wait_ns_ += start - arrival;
-    pending_.emplace(arrival, +1);
-    pending_.emplace(end, -1);
-    drain(now);
+    insert_sorted(arrivals_, arrival);
+    insert_sorted(ends_, end);
+    if (++batched_ == kBatch) sweep(now);
   }
 
   std::uint64_t ops() const { return ops_; }
   std::uint64_t busy_ns() const { return busy_ns_; }
   std::uint64_t wait_ns() const { return wait_ns_; }
 
-  /// Independent depth integral, advanced to `now` (drains pending edges).
+  /// Independent depth integral, advanced to `now` (sweeps pending edges).
   std::uint64_t depth_integral_ns(SimTime now) {
-    drain(now);
+    sweep(now);
     return depth_integral_ns_;
   }
   /// Highest concurrent op count observed up to `now`.
   std::uint32_t depth_peak(SimTime now) {
-    drain(now);
-    return peak_;
+    sweep(now);
+    return static_cast<std::uint32_t>(peak_);
   }
   /// Ops in system (queued or in service) at `now`.
   std::uint32_t depth(SimTime now) {
-    drain(now);
+    sweep(now);
     return static_cast<std::uint32_t>(level_);
   }
 
  private:
-  /// Sweep edge events with time <= now in (time, delta) order. The delta
-  /// tie-break (-1 before +1) keeps back-to-back ops from counting depth 2
-  /// at the shared instant, and makes the sweep order deterministic.
-  /// Draining past `now` would be wrong: an op submitted later can still
-  /// carry an arrival earlier than already-pending future edges.
-  void drain(SimTime now) {
-    while (!pending_.empty() && pending_.top().first <= now) {
-      const auto [t, delta] = pending_.top();
-      pending_.pop();
-      advance_to(t);
-      level_ += delta;
-      if (level_ > static_cast<std::int64_t>(peak_))
-        peak_ = static_cast<std::uint32_t>(level_);
+  /// Records per sweep. The runs hold one batch plus the edges still in
+  /// the future at the last sweep (ops in flight), so kRunCapacity covers
+  /// up to kBatch in-flight ops before a run grows.
+  static constexpr std::uint32_t kBatch = 256;
+  static constexpr std::size_t kRunCapacity = 2 * kBatch + 1;
+  /// Sentinel closing each run; no edge at or past it is ever swept.
+  static constexpr SimTime kNever = ~SimTime{0};
+
+  /// Insert `t` into a sorted run, keeping the kNever sentinel last.
+  static void insert_sorted(std::vector<SimTime>& run, SimTime t) {
+    run.push_back(kNever);
+    std::size_t k = run.size() - 2;
+    while (k > 0 && run[k - 1] > t) {
+      run[k] = run[k - 1];
+      --k;
     }
-    advance_to(now);
+    run[k] = t;
   }
 
-  void advance_to(SimTime t) {
-    if (t <= swept_to_) return;
-    depth_integral_ns_ +=
-        static_cast<std::uint64_t>(level_) * (t - swept_to_);
-    swept_to_ = t;
+  /// Sweep every pending edge at or before the latest `now` (recorded or
+  /// queried) in (time, delta) order. The delta tie-break (-1 before +1)
+  /// keeps back-to-back ops from counting depth 2 at the shared instant.
+  /// Sweeping once per batch gives the same peak as sweeping after every
+  /// record: an op recorded at an already-swept instant T adds edges at T
+  /// only as a +1, or as a zero-length op's -1 with its own +1, so each
+  /// later sweep leaves the level at T no lower, and the highest level at
+  /// T is the one after its last edge in both schedules. Edges past the
+  /// latest `now` stay pending: an op submitted later can still carry an
+  /// arrival earlier than them.
+  void sweep(SimTime now) {
+    if (now > last_now_) last_now_ = now;
+    // Below kNever, so the sentinels always end the merge.
+    const SimTime limit = std::min(last_now_, kNever - 1);
+    // Locals, not members: the runs are SimTime arrays too, so member
+    // stores inside the loop would alias them and force reloads.
+    const SimTime* a = arrivals_.data();
+    const SimTime* e = ends_.data();
+    std::size_t i = 0;
+    std::size_t j = 0;
+    std::int64_t level = level_;
+    std::int64_t peak = peak_;
+    std::uint64_t integral = depth_integral_ns_;
+    SimTime swept = swept_to_;
+    for (;;) {
+      const SimTime ta = a[i];
+      const SimTime te = e[j];
+      const bool down = te <= ta;
+      const SimTime t = down ? te : ta;
+      if (t > limit) break;
+      integral += static_cast<std::uint64_t>(level) * (t - swept);
+      swept = t;
+      level += down ? -1 : 1;
+      peak = std::max(peak, level);
+      i += !down;
+      j += down;
+    }
+    depth_integral_ns_ =
+        integral + static_cast<std::uint64_t>(level) * (last_now_ - swept);
+    swept_to_ = last_now_;
+    level_ = level;
+    peak_ = peak;
+    arrivals_.erase(arrivals_.begin(),
+                    arrivals_.begin() + static_cast<std::ptrdiff_t>(i));
+    ends_.erase(ends_.begin(), ends_.begin() + static_cast<std::ptrdiff_t>(j));
+    batched_ = 0;
   }
 
-  using Edge = std::pair<SimTime, std::int8_t>;
   std::uint64_t ops_ = 0;
   std::uint64_t busy_ns_ = 0;
   std::uint64_t wait_ns_ = 0;
   std::uint64_t depth_integral_ns_ = 0;
   std::int64_t level_ = 0;
-  std::uint32_t peak_ = 0;
+  std::int64_t peak_ = 0;
   SimTime swept_to_ = 0;
-  std::priority_queue<Edge, std::vector<Edge>, std::greater<Edge>> pending_;
+  SimTime last_now_ = 0;
+  std::uint32_t batched_ = 0;
+  // Pending edge times, each run sorted and closed by kNever.
+  std::vector<SimTime> arrivals_;  // +1 edges
+  std::vector<SimTime> ends_;      // -1 edges
 };
 
 /// Time-weighted occupancy accounting for a level that changes at known

@@ -1,14 +1,21 @@
 // Observability layer tests: the tracer must observe without perturbing
 // (tracing on/off is bit-identical, at any fleet job count), exports must
-// parse, and the metrics registry must merge deterministically.
+// parse, the metrics registry must merge deterministically, and the batched
+// depth sweep must equal a per-record heap sweep.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
+#include <queue>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/json.h"
+#include "common/rng.h"
 #include "common/table.h"
+#include "counting_new.h"
 #include "fleet/fleet.h"
 #include "obs/chrome_trace.h"
 #include "obs/timeline.h"
@@ -250,6 +257,224 @@ TEST(Utilization, MetricsExportedWithExactQueueIdentity) {
   // prefetcher was configured.
   EXPECT_FALSE(r.metrics.contains("util.lmb_link.busy_ns"));
   EXPECT_FALSE(r.metrics.contains("util.prefetch_outstanding.busy_ns"));
+}
+
+// Reference depth sweep: every record pushes its (time, +-1) edges into a
+// min-heap and drains it up to `now` at once. ResourceUsage batches the
+// same sweep; every depth answer must match this one exactly.
+class HeapUsage {
+ public:
+  void record(SimTime now, SimTime arrival, SimTime start, SimTime end) {
+    ++ops_;
+    busy_ns_ += end - start;
+    wait_ns_ += start - arrival;
+    pending_.emplace(arrival, +1);
+    pending_.emplace(end, -1);
+    drain(now);
+  }
+  std::uint64_t ops() const { return ops_; }
+  std::uint64_t busy_ns() const { return busy_ns_; }
+  std::uint64_t wait_ns() const { return wait_ns_; }
+  std::uint64_t depth_integral_ns(SimTime now) {
+    drain(now);
+    return depth_integral_ns_;
+  }
+  std::uint32_t depth_peak(SimTime now) {
+    drain(now);
+    return peak_;
+  }
+  std::uint32_t depth(SimTime now) {
+    drain(now);
+    return static_cast<std::uint32_t>(level_);
+  }
+
+ private:
+  void drain(SimTime now) {
+    while (!pending_.empty() && pending_.top().first <= now) {
+      const auto [t, delta] = pending_.top();
+      pending_.pop();
+      advance_to(t);
+      level_ += delta;
+      if (level_ > static_cast<std::int64_t>(peak_))
+        peak_ = static_cast<std::uint32_t>(level_);
+    }
+    advance_to(now);
+  }
+  void advance_to(SimTime t) {
+    if (t <= swept_to_) return;
+    depth_integral_ns_ +=
+        static_cast<std::uint64_t>(level_) * (t - swept_to_);
+    swept_to_ = t;
+  }
+
+  using Edge = std::pair<SimTime, std::int8_t>;
+  std::uint64_t ops_ = 0;
+  std::uint64_t busy_ns_ = 0;
+  std::uint64_t wait_ns_ = 0;
+  std::uint64_t depth_integral_ns_ = 0;
+  std::int64_t level_ = 0;
+  std::uint32_t peak_ = 0;
+  SimTime swept_to_ = 0;
+  std::priority_queue<Edge, std::vector<Edge>, std::greater<Edge>> pending_;
+};
+
+// Drives one account with the op shapes the simulator records: PCIe/LMB
+// transfers (arrival == now, back-to-back on one link), NAND legs on a
+// pool of dies (arrival = now + command overhead, and a program leg whose
+// arrival is the transfer leg's end), GC legs up to `gc_horizon` ahead,
+// and zero-length ops. Times are coarse multiples so equal-time +-1 ties
+// are common. The dies and link run below saturation, so only the GC
+// horizon sets how many edges stay pending.
+class UsageStream {
+ public:
+  UsageStream(std::uint64_t seed, SimDuration gc_horizon)
+      : rng_(seed), gc_horizon_(gc_horizon) {}
+
+  /// Advances the clock (often not at all, sometimes exactly onto a link's
+  /// free time so a -1 and a +1 share an instant) and records one op.
+  template <typename A, typename B>
+  void record_one(A& a, B& b) {
+    const std::uint64_t step = rng_.next_below(4);
+    if (step == 1) {
+      now_ += 100 * rng_.next_below(8);
+    } else if (step == 2 && link_busy_until_ > now_) {
+      now_ = link_busy_until_;
+    }
+    const SimDuration service = 100 * rng_.next_below(6);  // may be 0
+    SimTime arrival = now_;
+    SimTime start = 0;
+    switch (rng_.next_below(4)) {
+      case 0: {  // PCIe-style transfer on one link
+        start = std::max(now_, link_busy_until_);
+        link_busy_until_ = start + service;
+        break;
+      }
+      case 1: {  // NAND sense leg on one of several dies
+        const std::size_t die = rng_.next_below(kDies);
+        arrival = now_ + 1000;
+        start = std::max(arrival, die_busy_until_[die]);
+        die_busy_until_[die] = start + service;
+        break;
+      }
+      case 2: {  // NAND program: channel leg, then the die leg it feeds
+        const std::size_t die = rng_.next_below(kDies);
+        const SimTime xfer_start = std::max(now_ + 1000, channel_busy_until_);
+        const SimTime xfer_end = xfer_start + service;
+        channel_busy_until_ = xfer_end;
+        a.record(now_, now_ + 1000, xfer_start, xfer_end);
+        b.record(now_, now_ + 1000, xfer_start, xfer_end);
+        arrival = xfer_end;
+        start = std::max(xfer_end, die_busy_until_[die]);
+        die_busy_until_[die] = start + 100 * rng_.next_below(12);
+        a.record(now_, arrival, start, die_busy_until_[die]);
+        b.record(now_, arrival, start, die_busy_until_[die]);
+        return;
+      }
+      default: {  // GC leg, possibly far in the future
+        arrival = now_ + 100 * rng_.next_below(gc_horizon_ / 100);
+        start = arrival + 100 * rng_.next_below(100);
+        break;
+      }
+    }
+    a.record(now_, arrival, start, start + service);
+    b.record(now_, arrival, start, start + service);
+  }
+
+  Rng& rng() { return rng_; }
+  SimTime& now() { return now_; }
+
+ private:
+  static constexpr std::size_t kDies = 4;
+  Rng rng_;
+  SimDuration gc_horizon_;
+  SimTime now_ = 0;
+  SimTime link_busy_until_ = 0;
+  SimTime channel_busy_until_ = 0;
+  SimTime die_busy_until_[kDies] = {};
+};
+
+TEST(Utilization, BatchedDepthSweepMatchesHeapSweep) {
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    ResourceUsage usage;
+    HeapUsage ref;
+    // Far-future GC legs keep thousands of edges pending, past the runs'
+    // reserved capacity.
+    UsageStream stream(seed, /*gc_horizon=*/1 * kMs);
+    // Query density varies by seed, from one query per ~2 records (the
+    // sweep rarely fills a batch) to one per ~2000 (many full batches).
+    const std::uint64_t query_odds = 2ull << (seed % 11);
+    std::uint64_t queries = 0;
+    for (int i = 0; i < 20'000; ++i) {
+      stream.record_one(usage, ref);
+      if (stream.rng().next_below(query_odds) != 0) continue;
+      SimTime& now = stream.now();
+      now += 100 * stream.rng().next_below(3);
+      // A query behind the latest now answers at the latest now.
+      const SimTime at =
+          stream.rng().next_below(8) == 0 && now >= 300 ? now - 300 : now;
+      ++queries;
+      switch (stream.rng().next_below(3)) {
+        case 0:
+          ASSERT_EQ(usage.depth(at), ref.depth(at)) << seed << " " << i;
+          break;
+        case 1:
+          ASSERT_EQ(usage.depth_peak(at), ref.depth_peak(at))
+              << seed << " " << i;
+          break;
+        default:
+          ASSERT_EQ(usage.depth_integral_ns(at), ref.depth_integral_ns(at))
+              << seed << " " << i;
+      }
+    }
+    EXPECT_GT(queries, 0u);
+    const SimTime end = stream.now() + 10'000'000;
+    EXPECT_EQ(usage.ops(), ref.ops());
+    EXPECT_EQ(usage.busy_ns(), ref.busy_ns());
+    EXPECT_EQ(usage.wait_ns(), ref.wait_ns());
+    EXPECT_EQ(usage.depth_peak(end), ref.depth_peak(end)) << seed;
+    EXPECT_EQ(usage.depth(end), ref.depth(end)) << seed;
+    EXPECT_EQ(usage.depth(end), 0u) << seed;
+    // Little's law on the integer clock: both sweeps equal busy + wait.
+    EXPECT_EQ(usage.depth_integral_ns(end), ref.depth_integral_ns(end));
+    EXPECT_EQ(usage.depth_integral_ns(end), usage.busy_ns() + usage.wait_ns())
+        << seed;
+  }
+}
+
+TEST(Utilization, RecordIsAllocationFree) {
+  // A bounded in-flight set (the simulator's device queues bound it)
+  // stays inside the runs' reserved capacity, so the runs are sized once,
+  // at construction, and no record or sweep allocates.
+  ResourceUsage usage;
+  ResourceUsage twin;
+  UsageStream stream(7, /*gc_horizon=*/20 * kUs);
+  const std::uint64_t news_before =
+      g_operator_new_calls.load(std::memory_order_relaxed);
+  for (int i = 0; i < 20'000; ++i) {
+    stream.record_one(usage, twin);
+    if (i % 1000 == 0) usage.depth(stream.now());
+  }
+  const std::uint64_t news_delta =
+      g_operator_new_calls.load(std::memory_order_relaxed) - news_before;
+  EXPECT_EQ(news_delta, 0u);
+  EXPECT_GE(usage.ops(), 20'000u);
+}
+
+TEST(UtilizationDeathTest, RecordRejectsOpsBehindTheSweep) {
+  ResourceUsage usage;
+  usage.record(/*now=*/100, /*arrival=*/100, /*start=*/150, /*end=*/200);
+  // `now` went backwards.
+  EXPECT_DEATH(usage.record(90, 100, 100, 120), "behind the swept time");
+  // Arrival before the last `now`.
+  EXPECT_DEATH(usage.record(120, 99, 120, 130), "behind the swept time");
+  // A query moved the swept time past this op's `now`.
+  usage.depth(500);
+  EXPECT_DEATH(usage.record(400, 600, 600, 700), "behind the swept time");
+  // The op's own times out of order.
+  EXPECT_DEATH(usage.record(500, 600, 550, 700), "arrival <= start <= end");
+  EXPECT_DEATH(usage.record(500, 600, 700, 650), "arrival <= start <= end");
+  usage.record(500, 500, 500, 500);  // a zero-length op is legal
+  EXPECT_EQ(usage.ops(), 2u);
 }
 
 TEST(Utilization, BottleneckReportRanksServiceResourcesFirst) {
