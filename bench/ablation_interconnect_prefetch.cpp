@@ -120,7 +120,7 @@ int main(int argc, char** argv) {
   for (const CellSpec& spec : specs) {
     MachineConfig config = default_machine_for(args, PathKind::kPipette);
     config.interconnect = spec.interconnect;
-    config.prefetch.enabled = spec.prefetch;
+    config.prefetch = spec.prefetch;
     const std::string wl = spec.workload;
     const std::uint64_t seed = args.seed;
     cells.push_back({std::move(config),

@@ -43,8 +43,7 @@ struct Scale {
 inline void apply_fine_path_flags(const BenchArgs& args,
                                   MachineConfig& config) {
   if (args.interconnect == "lmb") config.interconnect = InterconnectKind::kLmb;
-  if (args.prefetch) config.prefetch.enabled = true;  // Pipette kinds only;
-                                                      // shaped() gates it
+  if (args.prefetch) config.prefetch = true;  // Pipette with cache only
   if (args.mapping_unit != 0) config.mapping_unit = args.mapping_unit;
 }
 

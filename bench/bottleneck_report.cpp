@@ -92,7 +92,7 @@ MachineConfig die_machine(const BenchArgs& args) {
 MachineConfig link_machine(const BenchArgs& args) {
   MachineConfig c = default_machine_for(args, PathKind::kPipette);
   c.interconnect = InterconnectKind::kLmb;
-  c.prefetch.enabled = true;
+  c.prefetch = true;
   c.page_cache_bytes = 1 * kMiB;
   c.ssd.hmb.data_bytes = 64 * kKiB;
   c.pipette.fgrc.slab.slab_size = 32 * kKiB;

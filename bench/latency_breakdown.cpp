@@ -186,7 +186,7 @@ int main(int argc, char** argv) {
   for (const SystemSpec& spec : kSystems) {
     MachineConfig config = default_machine_for(args, spec.kind);
     config.trace.enabled = true;
-    if (spec.prefetch) config.prefetch.enabled = true;
+    if (spec.prefetch) config.prefetch = true;
     RunConfig run = scale.run();
     run.timeline.interval = kTimelineInterval;
     const std::uint64_t seed = args.seed;

@@ -9,11 +9,13 @@
 namespace pipette {
 
 PipettePath::PipettePath(Simulator& sim, SsdController& ssd, FileSystem& fs,
-                         HostTiming timing, PipettePathConfig config)
+                         HostTiming timing, std::uint64_t page_cache_bytes,
+                         ReadaheadConfig readahead, PipettePathConfig config,
+                         bool use_cache, bool prefetch)
     : ReadPathBase(sim, ssd, fs, timing),
       config_(std::move(config)),
-      block_(sim, ssd, fs, timing, config_.page_cache_bytes,
-             config_.readahead) {
+      use_cache_(use_cache),
+      block_(sim, ssd, fs, timing, page_cache_bytes, readahead) {
   // Config contract: anything the dispatcher sends down the fine path must
   // fit the TempBuf (the non-promoted staging area).
   PIPETTE_ASSERT_MSG(
@@ -21,7 +23,7 @@ PipettePath::PipettePath(Simulator& sim, SsdController& ssd, FileSystem& fs,
       "dispatcher fine_max_len exceeds the HMB TempBuf");
   fgrc_ = std::make_unique<FineGrainedReadCache>(
       ssd_.hmb(), config_.fgrc, &block_.page_cache().hit_counter());
-  if (config_.prefetch.enabled && config_.use_cache) {
+  if (prefetch && use_cache_) {
     // Speculation splits the TempBuf in half; demand staging must still fit
     // its (lower) half.
     PIPETTE_ASSERT_MSG(
@@ -29,8 +31,7 @@ PipettePath::PipettePath(Simulator& sim, SsdController& ssd, FileSystem& fs,
         "dispatcher fine_max_len exceeds the demand half of the TempBuf");
     fgrc_->enable_speculative_staging();
     prefetcher_ = std::make_unique<Prefetcher>(
-        sim_, ssd_, fs_, *fgrc_, config_.prefetch,
-        [this](FileId f, std::uint64_t page) {
+        sim_, ssd_, fs_, *fgrc_, [this](FileId f, std::uint64_t page) {
           return block_.page_cache().contains({f, page});
         });
   }
@@ -127,7 +128,7 @@ PipettePath::FineOutcome PipettePath::fine_read(FileId file,
   // NAND. Claiming before the lookup keeps hit attribution exact.
   if (prefetcher_ != nullptr) prefetcher_->on_demand(key);
 
-  if (config_.use_cache) {
+  if (use_cache_) {
     // Dispatch to the per-file hash lookup table.
     std::optional<std::span<const std::uint8_t>> hit;
     {
@@ -147,7 +148,7 @@ PipettePath::FineOutcome PipettePath::fine_read(FileId file,
   // Miss: decide placement. Without the cache everything stages through
   // the TempBuf region.
   MissPlan plan;
-  if (config_.use_cache) {
+  if (use_cache_) {
     plan = fgrc_->plan_miss(key);
     if (plan.promoted) {
       TraceScope fill_scope(sim_, Stage::kFgrcFill);
@@ -232,7 +233,7 @@ SimDuration PipettePath::read(FileId file, int open_flags,
   // bounded by the TempBuf staging capacity, beyond which only the block
   // interface can carry the request.
   Route route = Route::kFine;
-  if (config_.use_cache) {
+  if (use_cache_) {
     route = dispatch_read(config_.dispatch, open_flags, offset, out.size());
   } else if (!FineGrainedAccessDetector::permitted(open_flags) ||
              out.size() > ssd_.hmb().tempbuf().size()) {
@@ -267,7 +268,7 @@ PipettePath::FineWriteOutcome PipettePath::try_fine_write(
     FileId file, int open_flags, std::uint64_t offset,
     std::span<const std::uint8_t> data) {
   using Out = FineWriteOutcome;
-  if (!config_.fine_writes || !config_.use_cache) return Out::kNotTaken;
+  if (!config_.fine_writes || !use_cache_) return Out::kNotTaken;
   if (!FineGrainedAccessDetector::permitted(open_flags)) return Out::kNotTaken;
   if (data.size() >= kBlockSize) return Out::kNotTaken;
   if (data.size() > ssd_.hmb().tempbuf().size()) return Out::kNotTaken;

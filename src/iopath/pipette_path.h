@@ -28,15 +28,11 @@
 
 namespace pipette {
 
+/// Fine-path settings; the page cache and the cache/prefetch switches are
+/// constructor arguments, read from MachineConfig like BlockIoPath's.
 struct PipettePathConfig {
   FgrcConfig fgrc;
   DispatchConfig dispatch;
-  std::uint64_t page_cache_bytes = 64ull * 1024 * 1024;
-  ReadaheadConfig readahead;
-  bool use_cache = true;  // false = "Pipette w/o cache" baseline
-  // Speculative readahead on the fine path. Effective only with use_cache
-  // (speculation places through the FGRC's adaptive machinery).
-  PrefetchConfig prefetch;
   // Extension beyond the DAC'22 paper (CoinPurse-style, cited as the
   // complementary fine-grained *write* design): route small writes down
   // the byte path too. The device performs the read-modify-write
@@ -61,8 +57,13 @@ struct PipettePathStats {
 
 class PipettePath : public ReadPathBase {
  public:
+  /// `page_cache_bytes` and `readahead` shape the block route's page cache.
+  /// `prefetch` turns on speculative readahead; it places through the
+  /// FGRC's adaptive machinery, so it is ignored when `use_cache` is false.
   PipettePath(Simulator& sim, SsdController& ssd, FileSystem& fs,
-              HostTiming timing, PipettePathConfig config);
+              HostTiming timing, std::uint64_t page_cache_bytes,
+              ReadaheadConfig readahead, PipettePathConfig config,
+              bool use_cache, bool prefetch);
 
   SimDuration read(FileId file, int open_flags, std::uint64_t offset,
                    std::span<std::uint8_t> out) override;
@@ -71,12 +72,11 @@ class PipettePath : public ReadPathBase {
 
   FineGrainedReadCache& fgrc() { return *fgrc_; }
   const FineGrainedAccessDetector& detector() const { return detector_; }
-  /// Null when prefetching is disabled (or use_cache is off).
+  /// Null when prefetching is disabled (or the cache is off).
   const Prefetcher* prefetcher() const { return prefetcher_.get(); }
   Prefetcher* prefetcher() { return prefetcher_.get(); }
   BlockIoPath& block_route() { return block_; }
   const PipettePathStats& pipette_stats() const { return pstats_; }
-  bool cache_enabled() const { return config_.use_cache; }
 
   /// Cold-restart support: rebuild the FGRC, dropping every cached item
   /// (the slab store re-carves the HMB Data Area from scratch) while
@@ -111,6 +111,7 @@ class PipettePath : public ReadPathBase {
   SimDuration buffer_read_cost(std::uint64_t bytes) const;
 
   PipettePathConfig config_;
+  bool use_cache_;
   BlockIoPath block_;  // the unchanged traditional path
   FineGrainedAccessDetector detector_;
   std::unique_ptr<FineGrainedReadCache> fgrc_;

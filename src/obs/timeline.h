@@ -19,8 +19,6 @@ namespace pipette {
 struct TimelineConfig {
   /// Sampling interval in sim ns; 0 disables the sampler.
   SimDuration interval = 0;
-  /// Hard cap on stored samples (long runs stop sampling, not resize).
-  std::uint32_t max_samples = 4096;
 };
 
 /// One snapshot. Counters are cumulative over the measured phase (deltas
@@ -53,12 +51,15 @@ struct TimeSample {
 
 class TimelineSampler {
  public:
+  /// Hard cap on stored samples (long runs stop sampling, not resize).
+  static constexpr std::uint32_t kMaxSamples = 4096;
+
   TimelineSampler(const TimelineConfig& config, SimTime start)
       : config_(config), start_(start), next_(start + config.interval) {}
 
   /// True when a sample is owed at sim time `now`.
   bool due(SimTime now) const {
-    return config_.interval > 0 && samples_.size() < config_.max_samples &&
+    return config_.interval > 0 && samples_.size() < kMaxSamples &&
            now >= next_;
   }
 

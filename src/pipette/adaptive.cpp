@@ -8,7 +8,6 @@ AdaptiveThreshold::AdaptiveThreshold(const AdaptiveConfig& config)
     : config_(config), threshold_(config.initial_threshold) {
   PIPETTE_ASSERT(config.min_threshold <= config.initial_threshold);
   PIPETTE_ASSERT(config.initial_threshold <= config.max_threshold);
-  PIPETTE_ASSERT(config.min_ratio <= config.max_ratio);
   PIPETTE_ASSERT(config.adjust_period > 0);
 }
 
@@ -30,10 +29,10 @@ void AdaptiveThreshold::on_access(bool repeated) {
   if (window_accesses_ < config_.adjust_period) return;
 
   const double ratio = window_ratio();
-  if (ratio < config_.min_ratio && threshold_ < config_.max_threshold) {
+  if (ratio < kMinRatio && threshold_ < config_.max_threshold) {
     // Low data reuse: cache infrequently.
     ++threshold_;
-  } else if (ratio > config_.max_ratio &&
+  } else if (ratio > kMaxRatio &&
              threshold_ > config_.min_threshold) {
     // High data reuse: allow frequent promotion.
     --threshold_;

@@ -5,8 +5,8 @@
 // object's reference count against a promotion threshold that tracks the
 // workload's reusability: an access counter and a reuse counter measure the
 // ratio of repeated fine-grained accesses; when the ratio sinks below
-// min_ratio the threshold rises (cache less under low reuse, e.g. uniform
-// scans), and when it exceeds max_ratio the threshold falls (promote
+// kMinRatio the threshold rises (cache less under low reuse, e.g. uniform
+// scans), and when it exceeds kMaxRatio the threshold falls (promote
 // aggressively under high reuse). Reference counts for objects not yet
 // cached live in a bounded ghost table.
 #pragma once
@@ -22,11 +22,6 @@ struct AdaptiveConfig {
   std::uint32_t initial_threshold = 2;
   std::uint32_t min_threshold = 1;  // 1 = promote on first access
   std::uint32_t max_threshold = 4;
-  // Ratio bounds calibrated so the filter targets genuinely cold streams:
-  // a scan re-references <5% and gets throttled; steady-state uniform or
-  // zipfian traffic re-references >25% and is promoted eagerly.
-  double min_ratio = 0.05;  // below: raise the threshold
-  double max_ratio = 0.25;  // above: lower the threshold
   std::uint64_t adjust_period = 4096;  // accesses between adjustments
   bool enabled = true;  // false = threshold frozen at initial (ablation)
   std::uint64_t ghost_capacity = 1 << 21;  // tracked-but-uncached objects
@@ -34,6 +29,13 @@ struct AdaptiveConfig {
 
 class AdaptiveThreshold {
  public:
+  // Ratio bounds calibrated so the filter targets genuinely cold streams:
+  // a scan re-references <5% and gets throttled; steady-state uniform or
+  // zipfian traffic re-references >25% and is promoted eagerly.
+  static constexpr double kMinRatio = 0.05;  // below: raise the threshold
+  static constexpr double kMaxRatio = 0.25;  // above: lower the threshold
+  static_assert(kMinRatio <= kMaxRatio);
+
   explicit AdaptiveThreshold(const AdaptiveConfig& config);
 
   /// Record one fine-grained access; `repeated` marks a re-access of data

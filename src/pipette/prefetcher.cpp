@@ -1,7 +1,5 @@
 #include "pipette/prefetcher.h"
 
-#include <algorithm>
-
 #include "common/assert.h"
 #include "obs/trace.h"
 
@@ -12,6 +10,10 @@ namespace {
 // packed token keeps the completion capture at {this, u64} — inside the
 // std::function small-buffer, so speculative submissions allocate nothing.
 constexpr std::uint64_t kGenMask = (std::uint64_t{1} << 56) - 1;
+static_assert(Prefetcher::kMaxOutstanding >= 1 &&
+              Prefetcher::kMaxOutstanding <= 255);  // slot packs in 8 bits
+static_assert(Prefetcher::kDegree >= 1 && Prefetcher::kMaxBatch >= 1);
+static_assert(Prefetcher::kTrackCapacity >= 1);
 
 std::uint64_t pack_token(std::uint32_t slot, std::uint64_t gen) {
   return (static_cast<std::uint64_t>(slot) << 56) | (gen & kGenMask);
@@ -19,19 +21,13 @@ std::uint64_t pack_token(std::uint32_t slot, std::uint64_t gen) {
 }  // namespace
 
 Prefetcher::Prefetcher(Simulator& sim, SsdController& ssd, FileSystem& fs,
-                       FineGrainedReadCache& fgrc, PrefetchConfig config,
-                       PageResidentFn page_resident)
+                       FineGrainedReadCache& fgrc, PageResidentFn page_resident)
     : sim_(sim),
       ssd_(ssd),
       fs_(fs),
       fgrc_(&fgrc),
-      config_(config),
       page_resident_(std::move(page_resident)),
-      filled_(std::max<std::uint32_t>(1, config.track_capacity)) {
-  PIPETTE_ASSERT(config_.max_outstanding >= 1 &&
-                 config_.max_outstanding <= 255);  // token packs slot in 8b
-  PIPETTE_ASSERT(config_.degree >= 1 && config_.max_batch >= 1);
-}
+      filled_(kTrackCapacity) {}
 
 bool Prefetcher::claim_filled(const FgKey& key) {
   bool* promoted = filled_.find(key);
@@ -74,7 +70,7 @@ bool Prefetcher::on_demand(const FgKey& key) {
 }
 
 void Prefetcher::maybe_issue(const StreamPrediction& pred) {
-  if (pred.cls == StreamClass::kRandom || pred.confidence < config_.min_run ||
+  if (pred.cls == StreamClass::kRandom || pred.confidence < kMinRun ||
       pred.len == 0) {
     return;
   }
@@ -95,10 +91,9 @@ void Prefetcher::maybe_issue(const StreamPrediction& pred) {
   if (pred.cls == StreamClass::kClusteredHot) {
     // Outward neighbourhood walk: +1, -1, +2, -2, ... grid steps.
     for (std::uint32_t step = 1;
-         step <= config_.degree && cand_scratch_.size() < config_.degree;
-         ++step) {
+         step <= kDegree && cand_scratch_.size() < kDegree; ++step) {
       for (const int dir : {+1, -1}) {
-        if (cand_scratch_.size() >= config_.degree) break;
+        if (cand_scratch_.size() >= kDegree) break;
         const std::int64_t off =
             static_cast<std::int64_t>(pred.base) +
             dir * static_cast<std::int64_t>(step) *
@@ -117,7 +112,7 @@ void Prefetcher::maybe_issue(const StreamPrediction& pred) {
     // why only structured streams pay for them.
     const std::int64_t page_base =
         static_cast<std::int64_t>(pred.base / kBlockSize * kBlockSize);
-    for (std::uint32_t j = 1; j <= config_.cluster_probe_pages; ++j) {
+    for (std::uint32_t j = 1; j <= kClusterProbePages; ++j) {
       for (const int dir : {+1, -1}) {
         const std::int64_t off =
             page_base + dir * static_cast<std::int64_t>(j) *
@@ -128,7 +123,7 @@ void Prefetcher::maybe_issue(const StreamPrediction& pred) {
     }
   } else {
     if (pred.stride == 0) return;
-    for (std::uint32_t k = 1; k <= config_.degree; ++k) {
+    for (std::uint32_t k = 1; k <= kDegree; ++k) {
       const std::int64_t off =
           static_cast<std::int64_t>(pred.base) +
           static_cast<std::int64_t>(k) * pred.stride;
@@ -140,7 +135,7 @@ void Prefetcher::maybe_issue(const StreamPrediction& pred) {
   InfoArea& info = ssd_.hmb().info();
   std::size_t i = 0;
   while (i < cand_scratch_.size()) {
-    if (outstanding_ >= config_.max_outstanding) {
+    if (outstanding_ >= kMaxOutstanding) {
       ++stats_.throttled;
       return;
     }
@@ -160,7 +155,7 @@ void Prefetcher::maybe_issue(const StreamPrediction& pred) {
     bool have_ranges = false;  // take the pooled vector only if needed
     std::uint32_t batched = 0;
     bool ring_full = false;
-    for (; i < cand_scratch_.size() && batched < config_.max_batch; ++i) {
+    for (; i < cand_scratch_.size() && batched < kMaxBatch; ++i) {
       const FgKey key{pred.file, cand_scratch_[i], pred.len};
       if (fgrc_->contains(key) || inflight_.count(key) != 0 ||
           filled_.peek(key) != nullptr) {
@@ -180,9 +175,9 @@ void Prefetcher::maybe_issue(const StreamPrediction& pred) {
       }
       lba_scratch_.clear();
       fs_.extract_lbas(key.file, key.offset, key.len, lba_scratch_);
-      // Demand priority: never take the ring within `info_headroom` slots
+      // Demand priority: never take the ring within `kInfoHeadroom` slots
       // of full — demand pushes must not see backpressure from speculation.
-      if (info.in_flight() + lba_scratch_.size() + config_.info_headroom >
+      if (info.in_flight() + lba_scratch_.size() + kInfoHeadroom >
           info.capacity()) {
         ring_full = true;
         break;
@@ -218,9 +213,8 @@ void Prefetcher::maybe_issue(const StreamPrediction& pred) {
       continue;  // candidates exhausted; the while condition ends the loop
     }
 
-    sim_.advance(config_.issue_cost +
-                 static_cast<SimDuration>(cmd.ranges.size()) *
-                     config_.per_range_cost);
+    sim_.advance(kIssueCost +
+                 static_cast<SimDuration>(cmd.ranges.size()) * kPerRangeCost);
     ++stats_.commands;
     stats_.issued += batched;
     job.in_use = true;

@@ -38,25 +38,6 @@
 
 namespace pipette {
 
-struct PrefetchConfig {
-  bool enabled = false;
-  std::uint32_t degree = 32;          // speculative keys per trigger
-  std::uint32_t max_batch = 16;       // keys per speculative FG_READ
-  std::uint32_t max_outstanding = 8;  // speculative commands in flight
-  std::uint32_t min_run = 3;          // classifier confidence gate
-  /// Clustered-hot streams only: page-stride probes at base ± k pages, on
-  /// top of the record-exact neighbourhood walk. One probe per page is
-  /// enough to pull the whole page into the device read buffer, so the
-  /// burst's later misses on that page skip NAND even when the exact
-  /// record was never speculated. 32 pages ≈ the classifier's cluster
-  /// radius (128 KiB) on 4 KiB pages.
-  std::uint32_t cluster_probe_pages = 32;
-  std::uint32_t info_headroom = 64;   // ring slots reserved for demand
-  std::uint32_t track_capacity = 65536;  // filled-but-unclaimed keys kept
-  SimDuration issue_cost = 400;       // host CPU per speculative command
-  SimDuration per_range_cost = 120;   // host CPU per Info-ring record
-};
-
 struct PrefetchStats {
   std::uint64_t issued = 0;         // speculative keys issued
   std::uint64_t commands = 0;       // speculative FG_READ commands
@@ -78,9 +59,25 @@ class Prefetcher {
   /// by PipettePath so this library needs no hostmem dependency.
   using PageResidentFn = std::function<bool(FileId, std::uint64_t)>;
 
+  // Tuning constants.
+  static constexpr std::uint32_t kDegree = 32;         // keys per trigger
+  static constexpr std::uint32_t kMaxBatch = 16;       // keys per FG_READ
+  static constexpr std::uint32_t kMaxOutstanding = 8;  // commands in flight
+  static constexpr std::uint32_t kMinRun = 3;  // classifier confidence gate
+  /// Clustered-hot streams only: page-stride probes at base ± k pages, on
+  /// top of the record-exact neighbourhood walk. One probe per page is
+  /// enough to pull the whole page into the device read buffer, so the
+  /// burst's later misses on that page skip NAND even when the exact
+  /// record was never speculated. 32 pages ≈ the classifier's cluster
+  /// radius (128 KiB) on 4 KiB pages.
+  static constexpr std::uint32_t kClusterProbePages = 32;
+  static constexpr std::uint32_t kInfoHeadroom = 64;  // ring slots for demand
+  static constexpr std::uint32_t kTrackCapacity = 65536;  // unclaimed fills
+  static constexpr SimDuration kIssueCost = 400;     // host CPU per command
+  static constexpr SimDuration kPerRangeCost = 120;  // host CPU per record
+
   Prefetcher(Simulator& sim, SsdController& ssd, FileSystem& fs,
-             FineGrainedReadCache& fgrc, PrefetchConfig config,
-             PageResidentFn page_resident);
+             FineGrainedReadCache& fgrc, PageResidentFn page_resident);
 
   /// Demand-side claim. True if `key`'s speculative fill has completed
   /// (after waiting out an in-flight one under the HMB timeout guard);
@@ -98,7 +95,6 @@ class Prefetcher {
   void on_cache_reset(FineGrainedReadCache& fresh);
 
   const PrefetchStats& stats() const { return stats_; }
-  const PrefetchConfig& config() const { return config_; }
   /// Completed fills not (yet) claimed by demand — the live waste pool.
   std::uint64_t unclaimed() const { return filled_.size(); }
   std::uint32_t outstanding() const { return outstanding_; }
@@ -126,11 +122,10 @@ class Prefetcher {
   SsdController& ssd_;
   FileSystem& fs_;
   FineGrainedReadCache* fgrc_;
-  PrefetchConfig config_;
   PageResidentFn page_resident_;
   PrefetchStats stats_;
 
-  std::vector<SpecJob> jobs_;            // ≤ max_outstanding, slot-stable
+  std::vector<SpecJob> jobs_;            // ≤ kMaxOutstanding, slot-stable
   std::vector<std::uint32_t> free_jobs_;
   std::uint32_t outstanding_ = 0;
   OccupancyIntegrator outstanding_occ_;

@@ -131,21 +131,11 @@ RunResult run_experiment_on(Machine& machine, Workload& workload,
   result.read_latency = std::move(measured);
 
   if (PageCache* pc = machine.page_cache()) {
-    const auto& now = pc->stats().lookups;
-    result.page_cache_hit_ratio =
-        (now.accesses() - pc0.accesses()) == 0
-            ? 0.0
-            : static_cast<double>(now.hits() - pc0.hits()) /
-                  static_cast<double>(now.accesses() - pc0.accesses());
+    result.page_cache_hit_ratio = hit_ratio_since(pc->stats().lookups, pc0);
     result.page_cache_bytes = pc->resident_bytes();
   }
   if (PipettePath* p = machine.pipette_path()) {
-    const auto& now = p->fgrc().stats().lookups;
-    result.fgrc_hit_ratio =
-        (now.accesses() - fgrc0.accesses()) == 0
-            ? 0.0
-            : static_cast<double>(now.hits() - fgrc0.hits()) /
-                  static_cast<double>(now.accesses() - fgrc0.accesses());
+    result.fgrc_hit_ratio = hit_ratio_since(p->fgrc().stats().lookups, fgrc0);
     result.fgrc_bytes = p->fgrc().memory_bytes();
   }
   result.events_executed = machine.sim().events_executed();

@@ -36,18 +36,6 @@ MachineConfig shaped(const MachineConfig& in) {
     PIPETTE_ASSERT_MSG(
         config.ssd.hmb.data_bytes >= config.pipette.fgrc.slab.slab_size,
         "HMB data area smaller than one slab");
-    config.pipette.page_cache_bytes = config.page_cache_bytes;
-    config.pipette.readahead = config.readahead;
-    config.pipette.use_cache = config.kind == PathKind::kPipette;
-    config.pipette.prefetch = config.prefetch;
-    config.pipette.prefetch.enabled =
-        config.prefetch.enabled && config.kind == PathKind::kPipette;
-    if (config.interconnect == InterconnectKind::kLmb) {
-      // The buffer region lives on the CXL device: the host DRAM it used
-      // to occupy goes back to the page cache (the memory-footprint story
-      // of CXL-resident buffers — see DESIGN.md on LMB calibration).
-      config.pipette.page_cache_bytes += config.ssd.hmb.data_bytes;
-    }
   }
   return config;
 }
@@ -81,10 +69,20 @@ Machine::Machine(const MachineConfig& config, std::span<const FileSpec> files)
                                             TwoBMode::kDma);
       break;
     case PathKind::kPipette:
-    case PathKind::kPipetteNoCache:
-      path_ = std::make_unique<PipettePath>(sim_, *ssd_, *fs_, config_.host,
-                                            config_.pipette);
+    case PathKind::kPipetteNoCache: {
+      std::uint64_t page_cache_bytes = config_.page_cache_bytes;
+      if (config_.interconnect == InterconnectKind::kLmb) {
+        // The buffer region lives on the CXL device: the host DRAM it used
+        // to occupy goes back to the page cache (the memory-footprint story
+        // of CXL-resident buffers — see DESIGN.md on LMB calibration).
+        page_cache_bytes += config_.ssd.hmb.data_bytes;
+      }
+      path_ = std::make_unique<PipettePath>(
+          sim_, *ssd_, *fs_, config_.host, page_cache_bytes,
+          config_.readahead, config_.pipette,
+          /*use_cache=*/config_.kind == PathKind::kPipette, config_.prefetch);
       break;
+    }
   }
   vfs_ = std::make_unique<Vfs>(*fs_, *path_);
 }
@@ -265,14 +263,19 @@ void Machine::collect_metrics(MetricsRegistry& out) {
     out.set("fgrc.slab_migrations", ss.migrations);
     for (std::uint32_t cls = 0; cls < store.classes(); ++cls) {
       const SlabClassStats scs = store.class_stats(cls);
+      const std::uint64_t promotions =
+          cls < fs.class_promotions.size() ? fs.class_promotions[cls] : 0;
+      // A class the run never touched adds four zero rows and no news.
+      if (scs.slabs == 0 && scs.live_items == 0 && scs.evictions == 0 &&
+          promotions == 0) {
+        continue;
+      }
       const std::string prefix =
           "fgrc.class." + std::to_string(scs.item_size) + ".";
       out.set(prefix + "slabs", scs.slabs);
       out.set(prefix + "live_items", scs.live_items);
       out.set(prefix + "evictions", scs.evictions);
-      out.set(prefix + "promotions",
-              cls < fs.class_promotions.size() ? fs.class_promotions[cls]
-                                               : 0);
+      out.set(prefix + "promotions", promotions);
     }
   }
 
@@ -341,7 +344,6 @@ MachineConfig default_machine(PathKind kind) {
   config.ssd.nand_timing.cell = CellType::kTlc;
   config.ssd.read_buffer_bytes = 512ull * kMiB;
   config.ssd.block_reads_use_buffer = false;
-  config.ssd.cmb_slots = 64;
   config.ssd.hmb.info_slots = 4096;
   config.ssd.hmb.tempbuf_bytes = 64 * kKiB;
   config.ssd.hmb.data_bytes = 160ull * kMiB;

@@ -54,10 +54,12 @@ struct MachineConfig {
   /// Link carrying fine-grained fills: PCIe DMA into host DRAM (kHmb, the
   /// paper's baseline) or a CXL-linked memory buffer (kLmb). With kLmb the
   /// buffer lives on the CXL device, so its data-area bytes stop stealing
-  /// host DRAM — shaped() returns that budget to the page cache.
+  /// host DRAM — Machine returns that budget to the Pipette page cache.
   InterconnectKind interconnect = InterconnectKind::kHmb;
-  /// Speculative readahead on the fine path (Pipette-with-cache only).
-  PrefetchConfig prefetch;
+  /// Speculative readahead on the fine path (Pipette-with-cache only; the
+  /// tuning constants live in pipette/prefetcher.h).
+  bool prefetch = false;
+  /// Page cache of the block path and of Pipette's block route.
   std::uint64_t page_cache_bytes = 160ull * 1024 * 1024;
   ReadaheadConfig readahead{/*initial_window=*/1, /*max_window=*/32,
                             /*enabled=*/true};

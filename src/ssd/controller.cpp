@@ -53,13 +53,13 @@ struct SsdController::Job {
 SsdController::SsdController(Simulator& sim, const ControllerConfig& config)
     : sim_(sim),
       config_(config),
-      content_(config.content_seed),
+      content_(kContentSeed),
       nand_(sim, config.geometry, config.nand_timing, config.faults.nand,
             config.faults.seed),
       ftl_(config.geometry, resolve_lba_count(config), config.mapping_unit),
       pcie_(sim, config.pcie, config.lmb),
       hmb_(config.hmb),
-      cmb_(config.cmb_slots),
+      cmb_(kCmbSlots),
       hmb_faults_(config.faults.seed, FaultDomain::kHmbDma),
       read_buffer_(std::max<std::uint64_t>(
           1, config.read_buffer_bytes / kBlockSize)) {}

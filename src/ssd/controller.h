@@ -109,7 +109,6 @@ struct ControllerConfig {
   // recently loaded pages resident — the asymmetry 2B-SSD and Pipette rely
   // on. Enable to ablate.
   bool block_reads_use_buffer = false;
-  std::uint32_t cmb_slots = 64;
   Hmb::Layout hmb;
   // Which link carries fine-grained fills. kHmb: PCIe DMA into host DRAM
   // (the paper's baseline). kLmb: a CXL-linked memory buffer with its own
@@ -118,7 +117,6 @@ struct ControllerConfig {
   // host DRAM. Block reads/writes stay on PCIe either way.
   InterconnectKind interconnect = InterconnectKind::kHmb;
   LmbTiming lmb;
-  std::uint64_t content_seed = 0xd15c;
 };
 
 struct ControllerStats {
@@ -233,6 +231,9 @@ class SsdController {
   void group_ranges_by_page(Job& job, bool with_offsets);
 
   void fg_range_done(Job* job);
+
+  static constexpr std::uint64_t kContentSeed = 0xd15c;  // payload pattern
+  static constexpr std::uint32_t kCmbSlots = 64;  // 2B-SSD staging pages
 
   Simulator& sim_;
   ControllerConfig config_;

@@ -143,7 +143,7 @@ TEST(Timeline, SamplesMeasuredPhase) {
   SyntheticWorkload workload = make_workload();
   const RunResult r = run_experiment(config, workload, run);
   ASSERT_FALSE(r.timeline.empty());
-  EXPECT_LE(r.timeline.size(), run.timeline.max_samples);
+  EXPECT_LE(r.timeline.size(), TimelineSampler::kMaxSamples);
   for (std::size_t i = 1; i < r.timeline.size(); ++i) {
     EXPECT_GT(r.timeline[i].t, r.timeline[i - 1].t);
     EXPECT_GE(r.timeline[i].reads, r.timeline[i - 1].reads);
@@ -209,12 +209,11 @@ TEST(Metrics, PeakGaugesMaxMergeOthersSum) {
 
 TEST(Timeline, SamplerEdgeCases) {
   // interval = 0 disables sampling outright.
-  TimelineSampler off({/*interval=*/0, /*max_samples=*/4}, /*start=*/100);
+  TimelineSampler off({/*interval=*/0}, /*start=*/100);
   EXPECT_FALSE(off.due(1'000'000'000));
 
   TimelineConfig cfg;
   cfg.interval = 10;
-  cfg.max_samples = 3;
   TimelineSampler s(cfg, /*start=*/5);
   EXPECT_FALSE(s.due(5));
   EXPECT_FALSE(s.due(14));
@@ -226,13 +225,20 @@ TEST(Timeline, SamplerEdgeCases) {
   EXPECT_FALSE(s.due(104));
   EXPECT_TRUE(s.due(105));
   s.record(105, {});
-  s.record(130, {});
-  // max_samples reached: the sampler stops being due, it never resizes.
-  EXPECT_FALSE(s.due(1'000'000));
+  SimTime now = 105;
+  for (std::uint32_t n = 2; n < TimelineSampler::kMaxSamples; ++n) {
+    now += 10;
+    ASSERT_TRUE(s.due(now)) << n;
+    s.record(now, {});
+  }
+  // kMaxSamples reached: the sampler stops being due, it never resizes.
+  EXPECT_FALSE(s.due(now + 10));
+  EXPECT_FALSE(s.due(now + 1'000'000));
   const std::vector<TimeSample> samples = s.take();
-  ASSERT_EQ(samples.size(), 3u);
+  ASSERT_EQ(samples.size(), TimelineSampler::kMaxSamples);
   EXPECT_EQ(samples[0].t, 90u);  // t is relative to the start time
   EXPECT_EQ(samples[1].t, 100u);
+  EXPECT_EQ(samples.back().t, now - 5);
 }
 
 TEST(Utilization, MetricsExportedWithExactQueueIdentity) {

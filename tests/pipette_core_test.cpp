@@ -245,12 +245,11 @@ TEST(AdaptiveThreshold, FallsUnderHighReuse) {
 }
 
 TEST(AdaptiveThreshold, StableInTheMidBand) {
-  AdaptiveConfig c = fast_adaptive();
-  c.min_ratio = 0.2;
-  c.max_ratio = 0.6;
-  AdaptiveThreshold a(c);
-  // 40% reuse: between the bounds -> no change.
-  for (int i = 0; i < 10; ++i) a.on_access(i % 5 < 2);
+  AdaptiveThreshold a(fast_adaptive());
+  // 10% reuse: between kMinRatio and kMaxRatio -> no change.
+  static_assert(AdaptiveThreshold::kMinRatio < 0.1 &&
+                0.1 < AdaptiveThreshold::kMaxRatio);
+  for (int i = 0; i < 10; ++i) a.on_access(i == 0);
   EXPECT_EQ(a.threshold(), 2u);
 }
 

@@ -166,7 +166,7 @@ StridedConfig small_strided(std::uint64_t seed = 42) {
 MachineConfig pipette_machine(bool prefetch,
                               InterconnectKind ic = InterconnectKind::kHmb) {
   MachineConfig m = default_machine(PathKind::kPipette);
-  m.prefetch.enabled = prefetch;
+  m.prefetch = prefetch;
   m.interconnect = ic;
   return m;
 }
@@ -188,7 +188,7 @@ TEST(PrefetchEndToEnd, StridedStreamGetsFasterAndClaimsFills) {
   const Prefetcher* pf = machine.pipette_path()->prefetcher();
   ASSERT_NE(pf, nullptr);
   EXPECT_EQ(pf->stats().issued, on.metrics.value("prefetch.issued"));
-  EXPECT_LE(pf->outstanding(), pf->config().max_outstanding);
+  EXPECT_LE(pf->outstanding(), Prefetcher::kMaxOutstanding);
   EXPECT_TRUE(machine.pipette_path()->fgrc().index_consistent());
 
   // Prefetch-off machines must not even construct the prefetcher.
@@ -265,7 +265,7 @@ TEST(PrefetchFaults, SpeculativeFillsDegradeCleanlyUnderHmbFaults) {
   // At a 20% DMA fault rate some speculative fills must have faulted (and
   // their promoted reservations been evicted, not left poisoned).
   EXPECT_GT(pf->stats().faulted, 0u);
-  EXPECT_LE(pf->outstanding(), pf->config().max_outstanding);
+  EXPECT_LE(pf->outstanding(), Prefetcher::kMaxOutstanding);
   EXPECT_TRUE(machine.pipette_path()->fgrc().index_consistent());
 }
 
@@ -307,7 +307,7 @@ TEST(PrefetchOffIdentity, ExplicitHmbPrefetchOffMatchesDefaults) {
 
     MachineConfig explicit_cfg = default_machine(kind);
     explicit_cfg.interconnect = InterconnectKind::kHmb;
-    explicit_cfg.prefetch.enabled = false;
+    explicit_cfg.prefetch = false;
     SyntheticWorkload ew(sc);
     const RunResult spelled = run_experiment(explicit_cfg, ew, rc);
     EXPECT_EQ(base.Deterministic(), spelled.Deterministic()) << to_string(kind);

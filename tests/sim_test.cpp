@@ -70,6 +70,29 @@ TEST(Machine, FilesAreCreatedWithSizes) {
   EXPECT_GT(m.fs().inode(m.fs().find("b")).extents.extent_count(), 1u);
 }
 
+// A bad config is rejected while the Machine is built, with a message that
+// names the broken rule.
+TEST(MachineDeathTest, RejectsHmbDataAreaSmallerThanOneSlab) {
+  MachineConfig c = default_machine(PathKind::kPipette);
+  c.ssd.hmb.data_bytes = c.pipette.fgrc.slab.slab_size / 2;
+  EXPECT_DEATH(Machine m(c, {}), "HMB data area smaller than one slab");
+}
+
+TEST(MachineDeathTest, RejectsFineMaxLenLargerThanTheTempBuf) {
+  MachineConfig c = default_machine(PathKind::kPipette);
+  c.pipette.dispatch.fine_max_len =
+      static_cast<std::uint32_t>(c.ssd.hmb.tempbuf_bytes) + 1;
+  EXPECT_DEATH(Machine m(c, {}),
+               "dispatcher fine_max_len exceeds the HMB TempBuf");
+}
+
+TEST(MachineDeathTest, RejectsMappingUnitThatDoesNotDivideThePage) {
+  MachineConfig c = default_machine(PathKind::kBlockIo);
+  c.mapping_unit = 768;
+  EXPECT_DEATH(Machine m(c, {}),
+               "mapping unit must be in \\[512, page\\] and divide the page");
+}
+
 TEST(RunResult, DerivedRates) {
   RunResult r;
   r.requests = 1000;
