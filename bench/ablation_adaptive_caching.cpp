@@ -28,9 +28,9 @@ int main(int argc, char** argv) {
       {"fixed t=8", false, 8},
   };
 
-  // One independent cell per (variant, distribution): fan them across
-  // --jobs threads; results are bit-identical to the serial loop.
+  // One independent cell per (variant, distribution).
   std::vector<ExperimentCell> cells;
+  std::vector<std::string> labels;
   for (const Variant& v : variants) {
     MachineConfig config = default_machine_for(args, PathKind::kPipette);
     config.pipette.fgrc.adaptive.enabled = v.adaptive;
@@ -39,21 +39,13 @@ int main(int argc, char** argv) {
     config.pipette.fgrc.adaptive.max_threshold =
         std::max<std::uint32_t>(v.threshold, 4);
     for (Distribution dist : {Distribution::kUniform, Distribution::kZipf}) {
-      const std::uint64_t seed = args.seed;
-      cells.push_back({config,
-                       [dist, seed]() -> std::unique_ptr<Workload> {
-                         return std::make_unique<SyntheticWorkload>(
-                             table1_workload('E', dist, seed));
-                       },
-                       scale.run()});
+      cells.push_back({config, table1('E', dist, args.seed), scale.run()});
+      labels.push_back(std::string(v.name) +
+                       (dist == Distribution::kUniform ? "/uniform" : "/zipf"));
     }
   }
-  const std::vector<RunResult> results = run_experiments_parallel(
-      std::move(cells), args.jobs, [&](std::size_t i, const RunResult& r) {
-        std::fprintf(stderr, "  %-18s %-7s done (%.1fs host)\n",
-                     variants[i / 2].name, i % 2 == 0 ? "uniform" : "zipf",
-                     r.host_seconds);
-      });
+  const std::vector<RunResult> results =
+      run_cells(std::move(cells), labels, args);
 
   Table t({"Variant", "uniform E thpt (req/s)", "uniform E FGRC hit %",
            "zipf E thpt (req/s)", "zipf E FGRC hit %"});
@@ -66,5 +58,6 @@ int main(int argc, char** argv) {
                Table::fmt(zipf.fgrc_hit_ratio * 100.0, 1)});
   }
   emit(t, args);
+  write_json_summary(args, "ablation_adaptive_caching", labels, results);
   return 0;
 }

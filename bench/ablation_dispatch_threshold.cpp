@@ -14,39 +14,35 @@ int main(int argc, char** argv) {
   if (args.requests == 0 && !args.quick) scale = {1'000'000, 1'000'000};
   print_header("Ablation A4 — dispatcher fine-path size threshold", scale);
 
-  Table t({"fine_max_len", "thpt (req/s)", "traffic MiB", "fine reads %"});
-  for (std::uint32_t fine_max : {32u, 64u, 128u, 512u, 4096u}) {
+  const std::uint32_t thresholds[] = {32, 64, 128, 512, 4096};
+  std::vector<ExperimentCell> cells;
+  std::vector<std::string> labels;
+  SearchConfig sc;
+  sc.seed = args.seed;
+  for (std::uint32_t fine_max : thresholds) {
     MachineConfig config = default_machine_for(args, PathKind::kPipette);
     config.pipette.dispatch.fine_max_len = fine_max;
-    SearchConfig sc;
-    sc.seed = args.seed;
-    SearchWorkload w(sc);
-    Machine machine(config, w.files());
-    const int fd =
-        machine.vfs().open(w.files()[0].name, machine.open_flags(false));
-    std::vector<std::uint8_t> buf(8192);
-    for (std::uint64_t i = 0; i < scale.warmup; ++i) {
-      const Request rq = w.next();
-      machine.vfs().pread(fd, rq.offset, {buf.data(), rq.len});
-    }
-    const SimTime t0 = machine.sim().now();
-    const std::uint64_t traffic0 = machine.io_traffic_bytes();
-    for (std::uint64_t i = 0; i < scale.requests; ++i) {
-      const Request rq = w.next();
-      machine.vfs().pread(fd, rq.offset, {buf.data(), rq.len});
-    }
-    const double elapsed_s =
-        static_cast<double>(machine.sim().now() - t0) / 1e9;
-    const auto& ps = machine.pipette_path()->pipette_stats();
-    t.add_row(
-        {std::to_string(fine_max),
-         Table::fmt(static_cast<double>(scale.requests) / elapsed_s, 0),
-         Table::fmt(to_mib(machine.io_traffic_bytes() - traffic0), 1),
-         Table::fmt(100.0 * static_cast<double>(ps.fine_reads) /
-                        static_cast<double>(ps.fine_reads + ps.block_reads),
-                    1)});
-    std::fprintf(stderr, "  fine_max=%u done\n", fine_max);
+    cells.push_back(
+        {std::move(config), factory<SearchWorkload>(sc), scale.run()});
+    labels.push_back("fine_max=" + std::to_string(fine_max));
+  }
+  const std::vector<RunResult> results =
+      run_cells(std::move(cells), labels, args);
+
+  Table t({"fine_max_len", "thpt (req/s)", "traffic MiB", "fine reads %"});
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const RunResult& r = results[i];
+    // Routing share over the whole run, warmup included.
+    const std::uint64_t fine = r.metrics.value("pipette.fine_reads");
+    const std::uint64_t block = r.metrics.value("pipette.block_reads");
+    t.add_row({std::to_string(thresholds[i]),
+               Table::fmt(r.requests_per_sec(), 0),
+               Table::fmt(to_mib(r.traffic_bytes), 1),
+               Table::fmt(100.0 * static_cast<double>(fine) /
+                              static_cast<double>(fine + block),
+                          1)});
   }
   emit(t, args);
+  write_json_summary(args, "ablation_dispatch_threshold", labels, results);
   return 0;
 }

@@ -7,9 +7,41 @@
 #include "bench_common.h"
 #include "workload/search.h"
 
+namespace {
+
+using namespace pipette;
+using namespace pipette::bench;
+
+// The search workload with a sidecar: 1-in-16 requests is a page-aligned
+// 4 KiB read (block route), so the page cache sees traffic and its hit
+// ratio is defined.
+class SearchWithSidecar final : public Workload {
+ public:
+  explicit SearchWithSidecar(const SearchConfig& config)
+      : search_(config), sidecar_(config.seed + 1) {}
+
+  const std::vector<FileSpec>& files() const override {
+    return search_.files();
+  }
+  Request next() override {
+    if (issued_++ % 16 == 15) {
+      const std::uint64_t page =
+          sidecar_.next_below(search_.files()[0].size / kBlockSize);
+      return {0, page * kBlockSize, kBlockSize, false};
+    }
+    return search_.next();
+  }
+  std::string name() const override { return "search+sidecar"; }
+
+ private:
+  SearchWorkload search_;
+  Rng sidecar_;
+  std::uint64_t issued_ = 0;
+};
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  using namespace pipette;
-  using namespace pipette::bench;
   const BenchArgs args = BenchArgs::parse(argc, argv);
   Scale scale = Scale::from_args(args);
   if (args.requests == 0 && !args.quick) scale = {1'000'000, 1'000'000};
@@ -26,54 +58,34 @@ int main(int argc, char** argv) {
       {"always migrate", PressurePolicy::kAlwaysMigrate},
   };
 
-  Table t({"Variant", "thpt (req/s)", "FGRC hit %", "evictions",
-           "migrations", "FGRC MiB"});
+  SearchConfig sc;
+  sc.seed = args.seed;
+  sc.terms = 1 << 19;
+  std::vector<ExperimentCell> cells;
+  std::vector<std::string> labels;
   for (const Variant& v : variants) {
     MachineConfig config = default_machine_for(args, PathKind::kPipette);
     config.ssd.hmb.data_bytes = 16ull * kMiB;  // tight: pressure runs
     config.pipette.fgrc.slab.max_external_bytes = 8ull * kMiB;
     config.pipette.fgrc.policy = v.policy;
+    cells.push_back({std::move(config),
+                     factory<SearchWithSidecar>(sc), scale.run()});
+    labels.push_back(v.name);
+  }
+  const std::vector<RunResult> results =
+      run_cells(std::move(cells), labels, args);
 
-    SearchConfig sc;
-    sc.seed = args.seed;
-    sc.terms = 1 << 19;
-    SearchWorkload w(sc);
-    Machine machine(config, w.files());
-    const int fd =
-        machine.vfs().open(w.files()[0].name, machine.open_flags(false));
-    std::vector<std::uint8_t> buf(8192);
-    Rng sidecar(args.seed + 1);
-    auto issue = [&](std::uint64_t i) {
-      // 1-in-16 requests is a page-aligned 4 KiB read (block route), so
-      // the page cache sees traffic and its hit ratio is defined.
-      if (i % 16 == 15) {
-        const std::uint64_t page =
-            sidecar.next_below(w.files()[0].size / kBlockSize);
-        machine.vfs().pread(fd, page * kBlockSize, {buf.data(), kBlockSize});
-        return;
-      }
-      const Request rq = w.next();
-      machine.vfs().pread(fd, rq.offset, {buf.data(), rq.len});
-    };
-    for (std::uint64_t i = 0; i < scale.warmup; ++i) issue(i);
-    const SimTime t0 = machine.sim().now();
-    const auto& fgrc = machine.pipette_path()->fgrc();
-    const auto h0 = fgrc.stats().lookups;
-    for (std::uint64_t i = 0; i < scale.requests; ++i) issue(i);
-    const double elapsed_s =
-        static_cast<double>(machine.sim().now() - t0) / 1e9;
-    const auto& h1 = fgrc.stats().lookups;
-    t.add_row(
-        {v.name,
-         Table::fmt(static_cast<double>(scale.requests) / elapsed_s, 0),
-         Table::fmt(100.0 * static_cast<double>(h1.hits() - h0.hits()) /
-                        static_cast<double>(h1.accesses() - h0.accesses()),
-                    1),
-         std::to_string(fgrc.stats().pressure_evictions),
-         std::to_string(fgrc.stats().pressure_migrations),
-         Table::fmt(to_mib(fgrc.memory_bytes()), 1)});
-    std::fprintf(stderr, "  %-16s done\n", v.name);
+  Table t({"Variant", "thpt (req/s)", "FGRC hit %", "evictions",
+           "migrations", "FGRC MiB"});
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const RunResult& r = results[i];
+    t.add_row({variants[i].name, Table::fmt(r.requests_per_sec(), 0),
+               Table::fmt(r.fgrc_hit_ratio * 100.0, 1),
+               std::to_string(r.metrics.value("fgrc.pressure_evictions")),
+               std::to_string(r.metrics.value("fgrc.pressure_migrations")),
+               Table::fmt(to_mib(r.fgrc_bytes), 1)});
   }
   emit(t, args);
+  write_json_summary(args, "ablation_dynamic_alloc", labels, results);
   return 0;
 }

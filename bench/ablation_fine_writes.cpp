@@ -15,6 +15,8 @@ int main(int argc, char** argv) {
 
   Table t({"Variant", "ops/s", "mean write us", "FGRC hit %",
            "dev reads MiB", "dev writes MiB", "in-place updates"});
+  std::vector<std::string> labels;
+  std::vector<RunResult> results;
   for (bool fine_writes : {false, true}) {
     LinkBenchConfig lc;
     lc.seed = args.seed;
@@ -22,51 +24,39 @@ int main(int argc, char** argv) {
     MachineConfig config = realapp_machine_for(args, PathKind::kPipette);
     config.pipette.fine_writes = fine_writes;
     Machine machine(config, w.files());
-    std::vector<int> fds;
-    for (const FileSpec& f : w.files())
-      fds.push_back(machine.vfs().open(f.name, machine.open_flags(true)));
 
-    std::vector<std::uint8_t> buf(8192, 0x5A);
-    auto issue = [&](const Request& rq) -> SimDuration {
-      if (rq.is_write)
-        return machine.vfs().pwrite(fds[rq.file_index], rq.offset,
-                                    {buf.data(), rq.len});
-      return machine.vfs().pread(fds[rq.file_index], rq.offset,
-                                 {buf.data(), rq.len});
-    };
-    for (std::uint64_t i = 0; i < scale.warmup; ++i) issue(w.next());
-
-    const SimTime t0 = machine.sim().now();
-    const std::uint64_t reads0 = machine.ssd().stats().bytes_to_host;
-    const std::uint64_t writes0 = machine.ssd().stats().bytes_from_host;
-    const auto h0 = machine.pipette_path()->fgrc().stats().lookups;
-    SimDuration write_time = 0;
+    // Measured-phase values a RunResult does not carry: write latency, and
+    // host-to-device bytes from the first measured request on.
+    std::uint64_t issued = 0;
     std::uint64_t writes = 0;
-    for (std::uint64_t i = 0; i < scale.requests; ++i) {
-      const Request rq = w.next();
-      const SimDuration lat = issue(rq);
-      if (rq.is_write) {
-        write_time += lat;
-        ++writes;
-      }
-    }
-    const double elapsed_s =
-        static_cast<double>(machine.sim().now() - t0) / 1e9;
-    const auto& h1 = machine.pipette_path()->fgrc().stats().lookups;
+    std::uint64_t write_bytes0 = 0;
+    SimDuration write_time = 0;
+    RunHooks hooks;
+    hooks.on_request = [&](const Request& rq, const RunHooks::IssueFn& issue) {
+      if (issued++ == scale.warmup)
+        write_bytes0 = machine.ssd().stats().bytes_from_host;
+      if (issued <= scale.warmup || !rq.is_write) return false;
+      const SimTime t0 = machine.sim().now();
+      issue(rq);
+      write_time += machine.sim().now() - t0;
+      ++writes;
+      return true;
+    };
+    const RunResult r = run_experiment_on(machine, w, scale.run(), hooks);
     t.add_row(
         {fine_writes ? "fine writes (extension)" : "block writes (paper)",
-         Table::fmt(static_cast<double>(scale.requests) / elapsed_s, 0),
+         Table::fmt(r.requests_per_sec(), 0),
          Table::fmt(to_us(write_time) / static_cast<double>(writes), 2),
-         Table::fmt(100.0 * static_cast<double>(h1.hits() - h0.hits()) /
-                        static_cast<double>(h1.accesses() - h0.accesses()),
-                    1),
-         Table::fmt(to_mib(machine.ssd().stats().bytes_to_host - reads0), 1),
-         Table::fmt(to_mib(machine.ssd().stats().bytes_from_host - writes0),
-                    1),
-         std::to_string(
-             machine.pipette_path()->pipette_stats().fgrc_inplace_updates)});
-    std::fprintf(stderr, "  fine_writes=%d done\n", fine_writes);
+         Table::fmt(r.fgrc_hit_ratio * 100.0, 1),
+         Table::fmt(to_mib(r.traffic_bytes), 1),
+         Table::fmt(
+             to_mib(machine.ssd().stats().bytes_from_host - write_bytes0), 1),
+         std::to_string(r.metrics.value("pipette.fgrc_inplace_updates"))});
+    labels.push_back(fine_writes ? "fine_writes=on" : "fine_writes=off");
+    results.push_back(r);
+    std::fprintf(stderr, "  %s done\n", labels.back().c_str());
   }
   emit(t, args);
+  write_json_summary(args, "ablation_fine_writes", labels, results);
   return 0;
 }

@@ -42,38 +42,42 @@ int main(int argc, char** argv) {
                scale);
 
   Table t({"max extent", "scan MiB/s", "merged cmds per 16-page read"});
+  std::vector<std::string> labels;
+  std::vector<RunResult> results;
   for (std::uint64_t max_extent : {0ull, 16ull, 4ull, 1ull}) {
     ScanWorkload w(max_extent);
     MachineConfig config = default_machine_for(args, PathKind::kBlockIo);
     config.page_cache_bytes = 8 * kMiB;  // scan never fits: always fetch
     Machine machine(config, w.files());
-    const int fd =
-        machine.vfs().open(w.files()[0].name, machine.open_flags(false));
-    std::vector<std::uint8_t> buf(64 * 1024);
-    for (std::uint64_t i = 0; i < scale.warmup; ++i) {
-      const Request rq = w.next();
-      machine.vfs().pread(fd, rq.offset, {buf.data(), rq.len});
-    }
-    const SimTime t0 = machine.sim().now();
+
+    // Block-layer counters at the first measured request.
     const auto& bl = machine.block_path()->block_layer();
-    const std::uint64_t pages0 = bl.stats().page_requests;
-    const std::uint64_t cmds0 = bl.stats().merged_requests;
-    for (std::uint64_t i = 0; i < scale.requests; ++i) {
-      const Request rq = w.next();
-      machine.vfs().pread(fd, rq.offset, {buf.data(), rq.len});
-    }
-    const double secs = static_cast<double>(machine.sim().now() - t0) / 1e9;
+    std::uint64_t issued = 0;
+    std::uint64_t pages0 = 0;
+    std::uint64_t cmds0 = 0;
+    RunHooks hooks;
+    hooks.on_request = [&](const Request&, const RunHooks::IssueFn&) {
+      if (issued++ == scale.warmup) {
+        pages0 = bl.stats().page_requests;
+        cmds0 = bl.stats().merged_requests;
+      }
+      return false;
+    };
+    const RunResult r = run_experiment_on(machine, w, scale.run(), hooks);
+    const double secs = static_cast<double>(r.elapsed) / 1e9;
     const double mib_s = static_cast<double>(scale.requests) * 64.0 / 1024.0 /
                          secs;
     const double cmds_per_16 =
         16.0 * static_cast<double>(bl.stats().merged_requests - cmds0) /
         static_cast<double>(bl.stats().page_requests - pages0);
-    t.add_row({max_extent == 0 ? "contiguous" : std::to_string(max_extent) +
-                                                    " blocks",
-               Table::fmt(mib_s, 1), Table::fmt(cmds_per_16, 2)});
-    std::fprintf(stderr, "  max_extent=%llu done\n",
-                 static_cast<unsigned long long>(max_extent));
+    labels.push_back(max_extent == 0 ? "contiguous"
+                                     : std::to_string(max_extent) + " blocks");
+    t.add_row(
+        {labels.back(), Table::fmt(mib_s, 1), Table::fmt(cmds_per_16, 2)});
+    results.push_back(r);
+    std::fprintf(stderr, "  %s done\n", labels.back().c_str());
   }
   emit(t, args);
+  write_json_summary(args, "ablation_fragmentation", labels, results);
   return 0;
 }

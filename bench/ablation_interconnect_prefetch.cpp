@@ -117,6 +117,7 @@ int main(int argc, char** argv) {
   }
 
   std::vector<ExperimentCell> cells;
+  std::vector<std::string> labels;
   for (const CellSpec& spec : specs) {
     MachineConfig config = default_machine_for(args, PathKind::kPipette);
     config.interconnect = spec.interconnect;
@@ -126,15 +127,11 @@ int main(int argc, char** argv) {
     cells.push_back({std::move(config),
                      [wl, seed] { return make_workload(wl, seed); },
                      scale.run()});
+    labels.push_back(wl + "/" + to_string(spec.interconnect) + "/prefetch=" +
+                     (spec.prefetch ? "on" : "off"));
   }
-  const std::vector<RunResult> results = run_experiments_parallel(
-      std::move(cells), args.jobs,
-      [&specs](std::size_t i, const RunResult& r) {
-        std::fprintf(stderr, "  %-9s %s prefetch=%-3s done (%s, %.1fs host)\n",
-                     specs[i].workload, to_string(specs[i].interconnect),
-                     specs[i].prefetch ? "on" : "off",
-                     r.read_latency.summary().c_str(), r.host_seconds);
-      });
+  const std::vector<RunResult> results =
+      run_cells(std::move(cells), labels, args);
 
   Table t({"workload", "link", "prefetch", "p50 us", "p99 us", "mean us",
            "fgrc hit%", "pf issued", "pf hit%", "pf wasted%"});

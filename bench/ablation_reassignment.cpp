@@ -55,46 +55,37 @@ int main(int argc, char** argv) {
   print_header("Ablation A2 — slab reassignment under a phase change",
                scale);
 
-  Table t({"Variant", "phase-2 FGRC hit %", "phase-2 thpt (req/s)",
-           "reassigned slabs"});
-  for (bool reassign : {true, false}) {
+  // Phase 1 is the warmup; phase 2 is measured.
+  const std::uint64_t phase = scale.requests / 2;
+  const bool variants[] = {true, false};
+  std::vector<ExperimentCell> cells;
+  std::vector<std::string> labels;
+  for (bool reassign : variants) {
     MachineConfig config = default_machine_for(args, PathKind::kPipette);
     config.ssd.hmb.data_bytes = 24ull * kMiB;  // tight: phases must share
     config.pipette.fgrc.reassign.enabled = reassign;
     config.pipette.fgrc.reassign.epoch_accesses = 8 * 1024;
     // Isolate the reassignment effect from the pressure-migration path.
     config.pipette.fgrc.policy = PressurePolicy::kAlwaysEvict;
+    cells.push_back({std::move(config),
+                     factory<PhaseChangeWorkload>(phase, 120u, 1000u,
+                                                  args.seed),
+                     RunConfig{phase, phase}});
+    labels.push_back(reassign ? "reassign=on" : "reassign=off");
+  }
+  const std::vector<RunResult> results =
+      run_cells(std::move(cells), labels, args);
 
-    PhaseChangeWorkload w(scale.requests / 2, 120, 1000, args.seed);
-    Machine machine(config, w.files());
-    const int fd =
-        machine.vfs().open(w.files()[0].name, machine.open_flags(false));
-    std::vector<std::uint8_t> buf(4096);
-    // Phase 1.
-    for (std::uint64_t i = 0; i < scale.requests / 2; ++i) {
-      const Request rq = w.next();
-      machine.vfs().pread(fd, rq.offset, {buf.data(), rq.len});
-    }
-    // Phase 2, measured.
-    const auto& fgrc = machine.pipette_path()->fgrc();
-    const auto h0 = fgrc.stats().lookups;
-    const SimTime t0 = machine.sim().now();
-    for (std::uint64_t i = 0; i < scale.requests / 2; ++i) {
-      const Request rq = w.next();
-      machine.vfs().pread(fd, rq.offset, {buf.data(), rq.len});
-    }
-    const auto& h1 = fgrc.stats().lookups;
-    const double hit = static_cast<double>(h1.hits() - h0.hits()) /
-                       static_cast<double>(h1.accesses() - h0.accesses());
-    const double elapsed_s =
-        static_cast<double>(machine.sim().now() - t0) / 1e9;
-    t.add_row({reassign ? "reassignment on (paper)" : "reassignment off",
-               Table::fmt(hit * 100.0, 1),
-               Table::fmt(static_cast<double>(scale.requests / 2) / elapsed_s,
-                          0),
-               std::to_string(fgrc.stats().reassigned_slabs)});
-    std::fprintf(stderr, "  reassign=%d done\n", reassign);
+  Table t({"Variant", "phase-2 FGRC hit %", "phase-2 thpt (req/s)",
+           "reassigned slabs"});
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const RunResult& r = results[i];
+    t.add_row({variants[i] ? "reassignment on (paper)" : "reassignment off",
+               Table::fmt(r.fgrc_hit_ratio * 100.0, 1),
+               Table::fmt(r.requests_per_sec(), 0),
+               std::to_string(r.metrics.value("fgrc.reassigned_slabs"))});
   }
   emit(t, args);
+  write_json_summary(args, "ablation_reassignment", labels, results);
   return 0;
 }

@@ -198,17 +198,10 @@ int main(int argc, char** argv) {
   const std::uint64_t seed = args.seed;
   std::vector<ExperimentCell> cells;
   cells.push_back({die_machine(args),
-                   [seed]() -> std::unique_ptr<Workload> {
-                     return std::make_unique<UniformPageWorkload>(
-                         kDieFileBytes, seed);
-                   },
+                   factory<UniformPageWorkload>(kDieFileBytes, seed),
                    scale.run()});
   cells.push_back({link_machine(args),
-                   [seed]() -> std::unique_ptr<Workload> {
-                     return std::make_unique<StridedWorkload>(
-                         link_workload(seed));
-                   },
-                   scale.run()});
+                   factory<StridedWorkload>(link_workload(seed)), scale.run()});
   {
     // Same spp request scaling as gc_wear_sweep: MU=512 writes consume
     // free space 8x slower than page-sized ones, so the cell runs 8x the
@@ -221,19 +214,15 @@ int main(int argc, char** argv) {
     run.requests *= spp;
     run.warmup *= spp;
     cells.push_back({gc,
-                     [file_size, seed]() -> std::unique_ptr<Workload> {
-                       return std::make_unique<ZipfSlotWorkload>(
-                           file_size, /*write_ratio=*/0.5, seed);
-                     },
+                     factory<ZipfSlotWorkload>(file_size, /*write_ratio=*/0.5,
+                                               seed),
                      run});
   }
 
-  std::vector<RunResult> results = run_experiments_parallel(
-      std::move(cells), args.jobs, [](std::size_t i, const RunResult& r) {
-        std::fprintf(stderr, "  %-44s done (%s, %.1fs host)\n",
-                     kCells[i].label, r.read_latency.summary().c_str(),
-                     r.host_seconds);
-      });
+  std::vector<std::string> labels;
+  for (const CellSpec& c : kCells) labels.push_back(c.label);
+  const std::vector<RunResult> results =
+      run_cells(std::move(cells), labels, args);
 
   for (std::size_t i = 0; i < results.size(); ++i) {
     const BottleneckReport report =

@@ -13,25 +13,28 @@ int main(int argc, char** argv) {
   if (args.requests == 0 && !args.quick) scale = {1'000'000, 4'000'000};
   print_header("Extension — search-engine posting-list reads", scale);
 
-  Table t({"System", "norm. throughput", "traffic MiB", "mean us"});
-  std::map<PathKind, RunResult> results;
+  std::vector<ExperimentCell> cells;
+  std::vector<std::string> labels;
+  SearchConfig sc;
+  sc.seed = args.seed;
   for (PathKind kind : kAllPaths) {
-    SearchConfig sc;
-    sc.seed = args.seed;
-    SearchWorkload w(sc);
-    results[kind] = run_experiment(realapp_machine_for(args, kind), w, scale.run());
-    std::fprintf(stderr, "  %-18s done (%.2f us)\n", short_name(kind),
-                 results[kind].mean_latency_us);
+    cells.push_back({realapp_machine_for(args, kind),
+                     factory<SearchWorkload>(sc), scale.run()});
+    labels.push_back(to_string(kind));
   }
-  for (PathKind kind : kAllPaths) {
-    t.add_row({short_name(kind),
-               Table::fmt(normalized_throughput(
-                              results[kind], results[PathKind::kBlockIo]),
-                          2),
-               Table::fmt(to_mib(results[kind].traffic_bytes), 1),
-               Table::fmt(results[kind].mean_latency_us, 2)});
+  const std::vector<RunResult> results =
+      run_cells(std::move(cells), labels, args);
+  const RunResult& block = results[path_index(PathKind::kBlockIo)];
+
+  Table t({"System", "norm. throughput", "traffic MiB", "mean us"});
+  for (std::size_t k = 0; k < results.size(); ++k) {
+    t.add_row({labels[k],
+               Table::fmt(normalized_throughput(results[k], block), 2),
+               Table::fmt(to_mib(results[k].traffic_bytes), 1),
+               Table::fmt(results[k].mean_latency_us, 2)});
   }
   emit(t, args);
+  write_json_summary(args, "extra_search_engine", labels, results);
   std::printf(
       "\nExpected shape (by analogy with Fig. 9): Pipette above block I/O\n"
       "with an order of magnitude less traffic; no-cache byte paths below\n"

@@ -70,7 +70,7 @@ void write_fault_json(const BenchArgs& args,
   for (const FaultCell& c : cells) {
     w.begin_object();
     w.kv("rate", c.rate, 10);
-    w.kv("system", short_name(c.kind));
+    w.kv("system", to_string(c.kind));
     w.kv("availability", c.result.availability(), 6);
     w.kv("retries", c.result.retries);
     w.kv("failed_reads", c.result.failed_reads);
@@ -106,34 +106,22 @@ int main(int argc, char** argv) {
   const std::uint64_t heap0 = inline_function_heap_allocations();
 
   std::vector<ExperimentCell> cells;
-  std::vector<FaultCell> labels;
+  std::vector<FaultCell> fault_cells;
+  std::vector<std::string> labels;
   for (double rate : kRates) {
     for (PathKind kind : kAllPaths) {
-      const std::uint64_t seed = args.seed;
       cells.push_back({faulty_machine(args, kind, rate),
-                       [seed]() -> std::unique_ptr<Workload> {
-                         return std::make_unique<SyntheticWorkload>(
-                             table1_workload('C', Distribution::kUniform,
-                                             seed));
-                       },
+                       table1('C', Distribution::kUniform, args.seed),
                        scale.run()});
-      labels.push_back({rate, kind, {}});
+      fault_cells.push_back({rate, kind, {}});
+      labels.push_back(rate_label(rate) + "/" + to_string(kind));
     }
   }
 
-  const std::vector<RunResult> results = run_experiments_parallel(
-      std::move(cells), args.jobs,
-      [&labels](std::size_t i, const RunResult& r) {
-        std::fprintf(stderr,
-                     "  [%s] %-18s done (avail %.4f, %" PRIu64
-                     " retries, %" PRIu64 " failed, %" PRIu64
-                     " degraded, %.1fs host)\n",
-                     rate_label(labels[i].rate).c_str(),
-                     short_name(labels[i].kind), r.availability(), r.retries,
-                     r.failed_reads, r.degraded_reads, r.host_seconds);
-      });
+  const std::vector<RunResult> results =
+      run_cells(std::move(cells), labels, args);
   for (std::size_t i = 0; i < results.size(); ++i)
-    labels[i].result = results[i];
+    fault_cells[i].result = results[i];
 
   std::vector<std::string> headers{"System"};
   for (double rate : kRates) headers.push_back(rate_label(rate));
@@ -142,10 +130,10 @@ int main(int argc, char** argv) {
   Table latency(headers);
   Table degraded(headers);
   for (PathKind kind : kAllPaths) {
-    std::vector<std::string> avail_row{short_name(kind)};
-    std::vector<std::string> lat_row{short_name(kind)};
-    std::vector<std::string> deg_row{short_name(kind)};
-    for (const FaultCell& c : labels) {
+    std::vector<std::string> avail_row{to_string(kind)};
+    std::vector<std::string> lat_row{to_string(kind)};
+    std::vector<std::string> deg_row{to_string(kind)};
+    for (const FaultCell& c : fault_cells) {
       if (c.kind != kind) continue;
       avail_row.push_back(Table::fmt(c.result.availability() * 100.0, 4));
       lat_row.push_back(Table::fmt(c.result.mean_latency_us, 2));
@@ -163,7 +151,7 @@ int main(int argc, char** argv) {
   std::printf("\n-- degraded reads (served via block-path fallback) --\n");
   std::fputs(degraded.to_text().c_str(), stdout);
 
-  write_fault_json(args, labels);
+  write_fault_json(args, fault_cells);
 
   const std::uint64_t heap_delta =
       inline_function_heap_allocations() - heap0;

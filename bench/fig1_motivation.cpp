@@ -4,8 +4,6 @@
 // slashes traffic but *loses* throughput because it cannot exploit
 // host-DRAM locality.
 #include "bench_common.h"
-#include "workload/linkbench.h"
-#include "workload/recsys.h"
 
 int main(int argc, char** argv) {
   using namespace pipette;
@@ -15,40 +13,33 @@ int main(int argc, char** argv) {
   if (args.requests == 0 && !args.quick) scale = {500'000, 4'000'000};
   print_header("Fig. 1 — motivation: 2B-SSD vs block I/O", scale);
 
-  Table t({"App", "System", "Norm. I/O traffic", "Norm. throughput"});
-  for (int app = 0; app < 2; ++app) {
-    const char* app_name = app == 0 ? "Recommender System" : "Social Graph";
-    std::map<PathKind, RunResult> results;
-    for (PathKind kind :
-         {PathKind::kBlockIo, PathKind::kTwoBMmio, PathKind::kTwoBDma}) {
-      std::unique_ptr<Workload> workload;
-      if (app == 0) {
-        RecsysConfig rc;
-        rc.seed = args.seed;
-        workload = std::make_unique<RecsysWorkload>(rc);
-      } else {
-        LinkBenchConfig lc;
-        lc.seed = args.seed;
-        lc.read_only = true;  // the motivation study measures reads
-        workload = std::make_unique<LinkBenchWorkload>(lc);
-      }
-      results[kind] =
-          run_experiment(realapp_machine_for(args, kind), *workload, scale.run());
-      std::fprintf(stderr, "  %-20s %-12s done\n", app_name,
-                   short_name(kind));
-    }
-    const RunResult& base = results[PathKind::kBlockIo];
-    for (PathKind kind :
-         {PathKind::kBlockIo, PathKind::kTwoBMmio, PathKind::kTwoBDma}) {
-      const RunResult& r = results[kind];
-      t.add_row({app_name, short_name(kind),
-                 Table::fmt(static_cast<double>(r.traffic_bytes) /
-                                static_cast<double>(base.traffic_bytes),
-                            3),
-                 Table::fmt(normalized_throughput(r, base), 3)});
+  const PathKind kinds[] = {PathKind::kBlockIo, PathKind::kTwoBMmio,
+                            PathKind::kTwoBDma};
+  std::vector<ExperimentCell> cells;
+  std::vector<std::string> labels;
+  for (std::size_t app = 0; app < std::size(kRealApps); ++app) {
+    for (PathKind kind : kinds) {
+      cells.push_back({realapp_machine_for(args, kind),
+                       realapp_workload(app, args.seed), scale.run()});
+      labels.push_back(std::string(kRealApps[app]) + "/" + to_string(kind));
     }
   }
+  const std::vector<RunResult> results =
+      run_cells(std::move(cells), labels, args);
+
+  Table t({"App", "System", "Norm. I/O traffic", "Norm. throughput"});
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const RunResult& r = results[i];
+    const RunResult& base = results[i - i % std::size(kinds)];  // Block I/O
+    t.add_row({kRealApps[i / std::size(kinds)],
+               to_string(kinds[i % std::size(kinds)]),
+               Table::fmt(static_cast<double>(r.traffic_bytes) /
+                              static_cast<double>(base.traffic_bytes),
+                          3),
+               Table::fmt(normalized_throughput(r, base), 3)});
+  }
   emit(t, args);
+  write_json_summary(args, "fig1_motivation", labels, results);
 
   std::printf(
       "\nPaper reference (Fig. 1): 2B-SSD's I/O traffic is a small fraction\n"

@@ -21,23 +21,32 @@ int main(int argc, char** argv) {
                                  256, 512, 1024, 2048, 4096};
   const std::uint64_t file_size = 256ull * kMiB;
 
+  std::vector<ExperimentCell> cells;
+  std::vector<std::string> labels;
+  for (PathKind kind : kAllPaths) {
+    for (std::uint32_t size : sizes) {
+      cells.push_back({default_machine_for(args, kind),
+                       factory<SizeSweepWorkload>(file_size, size, args.seed),
+                       scale.run()});
+      labels.push_back(std::string(to_string(kind)) + "/" +
+                       std::to_string(size) + "B");
+    }
+  }
+  const std::vector<RunResult> results =
+      run_cells(std::move(cells), labels, args);
+
   std::vector<std::string> headers{"System"};
   for (std::uint32_t s : sizes) headers.push_back(std::to_string(s) + "B");
   Table t(headers);
-
-  for (PathKind kind : kAllPaths) {
-    std::vector<std::string> row{short_name(kind)};
-    for (std::uint32_t size : sizes) {
-      SizeSweepWorkload workload(file_size, size, args.seed);
-      const RunResult r =
-          run_experiment(default_machine_for(args, kind), workload, scale.run());
-      row.push_back(Table::fmt(r.mean_latency_us, 2));
-      std::fprintf(stderr, "  %-18s %4uB: %.2f us\n", short_name(kind), size,
-                   r.mean_latency_us);
-    }
+  for (std::size_t k = 0; k < std::size(kAllPaths); ++k) {
+    std::vector<std::string> row{to_string(kAllPaths[k])};
+    for (std::size_t s = 0; s < std::size(sizes); ++s)
+      row.push_back(
+          Table::fmt(results[k * std::size(sizes) + s].mean_latency_us, 2));
     t.add_row(std::move(row));
   }
   emit(t, args);
+  write_json_summary(args, "fig8_latency_vs_size", labels, results);
 
   std::printf(
       "\nPaper reference (Fig. 8): flat curves except MMIO (linear in "

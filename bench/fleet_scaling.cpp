@@ -91,7 +91,7 @@ void write_fleet_json(const BenchArgs& args, PartitionScheme partition,
     w.begin_object();
     w.kv("dist", dist_name(c.dist));
     w.kv("shards", c.shards);
-    w.kv("system", short_name(c.kind));
+    w.kv("system", to_string(c.kind));
     w.kv("fleet_rps", c.result.requests_per_sec(), 0);
     w.kv("p99_us", c.result.p99_latency_us, 6);
     w.kv("load_imbalance", c.result.load_imbalance, 6);
@@ -183,7 +183,7 @@ int main(int argc, char** argv) {
         std::fprintf(stderr,
                      "  [%s] %-18s x%zu done (%.2f Mreq/s fleet, p99 %.2f "
                      "us, imb %.2f, %.1fs host)\n",
-                     dist_name(dist), short_name(kind), shards,
+                     dist_name(dist), to_string(kind), shards,
                      r.requests_per_sec() / 1e6, r.p99_latency_us,
                      r.load_imbalance, r.host_seconds);
       }
@@ -199,9 +199,9 @@ int main(int argc, char** argv) {
     Table p99(headers);
     Table imb(headers);
     for (PathKind kind : kAllPaths) {
-      std::vector<std::string> rps_row{short_name(kind)};
-      std::vector<std::string> p99_row{short_name(kind)};
-      std::vector<std::string> imb_row{short_name(kind)};
+      std::vector<std::string> rps_row{to_string(kind)};
+      std::vector<std::string> p99_row{to_string(kind)};
+      std::vector<std::string> imb_row{to_string(kind)};
       for (const FleetCell& c : cells) {
         if (c.dist != dist || c.kind != kind) continue;
         rps_row.push_back(Table::fmt(c.result.requests_per_sec() / 1e6, 2));

@@ -154,6 +154,7 @@ int main(int argc, char** argv) {
   const std::uint64_t file_size = (probe.lba_count - 64) * kBlockSize;
 
   std::vector<ExperimentCell> cells;
+  std::vector<std::string> labels;
   for (const CellSpec& spec : specs) {
     const double wr = spec.write_ratio;
     const std::uint64_t seed = args.seed;
@@ -169,20 +170,14 @@ int main(int argc, char** argv) {
     run.requests *= spp;
     run.warmup *= spp;
     cells.push_back({gc_machine(args, spec),
-                     [file_size, wr, seed]() -> std::unique_ptr<Workload> {
-                       return std::make_unique<ZipfSlotWorkload>(file_size, wr,
-                                                                 seed);
-                     },
-                     run});
+                     factory<ZipfSlotWorkload>(file_size, wr, seed), run});
+    char label[48];
+    std::snprintf(label, sizeof(label), "mu=%u wr=%.2f wear=%s", spec.mu,
+                  spec.write_ratio, spec.wear ? "on" : "off");
+    labels.push_back(label);
   }
-  const std::vector<RunResult> results = run_experiments_parallel(
-      std::move(cells), args.jobs,
-      [&specs](std::size_t i, const RunResult& r) {
-        std::fprintf(stderr, "  mu=%-4u wr=%.2f wear=%-3s done (%s, %.1fs host)\n",
-                     specs[i].mu, specs[i].write_ratio,
-                     specs[i].wear ? "on" : "off",
-                     r.read_latency.summary().c_str(), r.host_seconds);
-      });
+  const std::vector<RunResult> results =
+      run_cells(std::move(cells), labels, args);
 
   Table t({"MU", "write%", "wear", "p50 us", "p99 us", "WA", "GC runs",
            "reloc MUs", "erases", "die spread", "retries"});

@@ -183,32 +183,23 @@ int main(int argc, char** argv) {
                scale);
 
   std::vector<ExperimentCell> cells;
+  std::vector<std::string> labels;
   for (const SystemSpec& spec : kSystems) {
     MachineConfig config = default_machine_for(args, spec.kind);
     config.trace.enabled = true;
     if (spec.prefetch) config.prefetch = true;
     RunConfig run = scale.run();
     run.timeline.interval = kTimelineInterval;
-    const std::uint64_t seed = args.seed;
-    const bool strided = spec.strided;
+    StridedConfig strided;
+    strided.seed = args.seed;
     cells.push_back({config,
-                     [seed, strided]() -> std::unique_ptr<Workload> {
-                       if (strided) {
-                         StridedConfig c;
-                         c.seed = seed;
-                         return std::make_unique<StridedWorkload>(c);
-                       }
-                       return std::make_unique<SyntheticWorkload>(
-                           table1_workload('C', Distribution::kUniform, seed));
-                     },
+                     spec.strided
+                         ? factory<StridedWorkload>(strided)
+                         : table1('C', Distribution::kUniform, args.seed),
                      run});
+    labels.push_back(spec.label);
   }
-  std::vector<RunResult> results = run_experiments_parallel(
-      std::move(cells), args.jobs, [](std::size_t i, const RunResult& r) {
-        std::fprintf(stderr, "  %-18s done (%s, %.1fs host)\n",
-                     kSystems[i].label, r.read_latency.summary().c_str(),
-                     r.host_seconds);
-      });
+  std::vector<RunResult> results = run_cells(std::move(cells), labels, args);
 
   std::vector<SystemRun> runs;
   for (std::size_t i = 0; i < results.size(); ++i)

@@ -1,6 +1,5 @@
 #include "ssd/hmb.h"
 
-#include <algorithm>
 #include <cstring>
 
 #include "common/assert.h"
@@ -12,11 +11,11 @@ InfoArea::InfoArea(std::uint32_t capacity)
   PIPETTE_ASSERT(capacity > 0);
 }
 
-std::uint64_t InfoArea::push(const InfoRecord& rec) {
+std::uint64_t InfoArea::push(const InfoRecord& rec, SimTime now) {
   PIPETTE_ASSERT_MSG(!full(), "Info Area ring overflow");
   const std::uint64_t idx = tail_++;
   slots_[idx % capacity_] = rec;
-  peak_in_flight_ = std::max(peak_in_flight_, in_flight());
+  occupancy_.update(now, in_flight());
   return idx;
 }
 
@@ -26,7 +25,7 @@ const InfoRecord& InfoArea::at(std::uint64_t idx) const {
   return slots_[idx % capacity_];
 }
 
-void InfoArea::release(std::uint64_t idx) {
+void InfoArea::release(std::uint64_t idx, SimTime now) {
   PIPETTE_ASSERT_MSG(idx >= head_ && idx < tail_,
                      "Info Area release outside live window");
   PIPETTE_ASSERT_MSG(!digested_[idx % capacity_],
@@ -36,6 +35,7 @@ void InfoArea::release(std::uint64_t idx) {
     digested_[head_ % capacity_] = false;
     ++head_;
   }
+  occupancy_.update(now, in_flight());
 }
 
 Hmb::Hmb(const Layout& layout)

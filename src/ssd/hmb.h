@@ -46,41 +46,25 @@ class InfoArea {
   }
   std::uint32_t capacity() const { return capacity_; }
   /// Occupancy high-water mark (max in_flight() ever observed after a push).
-  std::uint32_t peak_in_flight() const { return peak_in_flight_; }
-
-  /// Host side: append a record; returns its monotonic index. Ring must not
-  /// be full (callers back-pressure on full()).
-  std::uint64_t push(const InfoRecord& rec);
-
-  /// Timed variant: also advances the ring's occupancy integral to `now`
-  /// (obs/util.h; pure accounting — behaviour is identical to push()).
-  /// Simulation call sites use this; untimed push() remains for unit tests.
-  std::uint64_t push(const InfoRecord& rec, SimTime now) {
-    const std::uint64_t idx = push(rec);
-    occupancy_.update(now, in_flight());
-    return idx;
+  std::uint32_t peak_in_flight() const {
+    return static_cast<std::uint32_t>(occupancy_.peak());
   }
+
+  /// Host side: append a record at sim time `now`; returns its monotonic
+  /// index. Ring must not be full (callers back-pressure on full()). Also
+  /// advances the ring's occupancy integral to `now` (obs/util.h).
+  std::uint64_t push(const InfoRecord& rec, SimTime now);
 
   /// Record at monotonic index `idx` (must be in [head, tail)).
   const InfoRecord& at(std::uint64_t idx) const;
 
-  /// Device side: retire the oldest record (bump head). The paper's engine
-  /// "digests items in Info Area and increases the head's value".
-  void consume() { release(head_); }
-
-  /// Device side: mark record `idx` digested. The head advances past the
-  /// longest contiguous digested prefix — identical to consume() when
-  /// commands retire in push order, but safe when concurrent fine-grained
-  /// commands (demand + speculative prefetch) complete out of order: a
-  /// later command's retirement just leaves a gap until the earlier one
-  /// digests its records too.
-  void release(std::uint64_t idx);
-
-  /// Timed variant of release() (see the timed push()).
-  void release(std::uint64_t idx, SimTime now) {
-    release(idx);
-    occupancy_.update(now, in_flight());
-  }
+  /// Device side: mark record `idx` digested at sim time `now`. The paper's
+  /// engine "digests items in Info Area and increases the head's value":
+  /// the head advances past the longest contiguous digested prefix, so
+  /// concurrent fine-grained commands (demand + speculative prefetch) may
+  /// complete out of order — a later command's retirement just leaves a gap
+  /// until the earlier one digests its records too.
+  void release(std::uint64_t idx, SimTime now);
 
   std::uint64_t head() const { return head_; }
   std::uint64_t tail() const { return tail_; }
@@ -92,7 +76,6 @@ class InfoArea {
   std::uint32_t capacity_;
   std::uint64_t head_ = 0;
   std::uint64_t tail_ = 0;
-  std::uint32_t peak_in_flight_ = 0;
   std::vector<InfoRecord> slots_;
   std::vector<bool> digested_;  // out-of-order release marks, slot-indexed
   OccupancyIntegrator occupancy_;

@@ -126,29 +126,29 @@ TEST_F(SpecFgrcFixture, AbortFillEvictsSpeculativePromotion) {
 
 TEST(InfoAreaRelease, OutOfOrderRetirementAdvancesPastDigestedPrefix) {
   InfoArea ring(4);
-  const std::uint64_t a = ring.push({0, 0, 0, 64});
-  const std::uint64_t b = ring.push({64, 1, 0, 64});
-  const std::uint64_t c = ring.push({128, 2, 0, 64});
+  const std::uint64_t a = ring.push({0, 0, 0, 64}, 0);
+  const std::uint64_t b = ring.push({64, 1, 0, 64}, 0);
+  const std::uint64_t c = ring.push({128, 2, 0, 64}, 0);
   ASSERT_EQ(a, 0u);
   ASSERT_EQ(ring.in_flight(), 3u);
 
   // Retiring the middle record leaves the head pinned by the oldest.
-  ring.release(b);
+  ring.release(b, 0);
   EXPECT_EQ(ring.head(), 0u);
   EXPECT_EQ(ring.in_flight(), 3u);
 
   // Retiring the oldest advances past the whole digested prefix {a, b}.
-  ring.release(a);
+  ring.release(a, 0);
   EXPECT_EQ(ring.head(), 2u);
   EXPECT_EQ(ring.in_flight(), 1u);
 
-  ring.release(c);
+  ring.release(c, 0);
   EXPECT_TRUE(ring.empty());
 
   // The freed slots are immediately reusable (slot = index % capacity).
   for (int i = 0; i < 8; ++i) {
-    const std::uint64_t idx = ring.push({0, 0, 0, 1});
-    ring.consume();
+    const std::uint64_t idx = ring.push({0, 0, 0, 1}, 0);
+    ring.release(idx, 0);
     EXPECT_EQ(ring.head(), idx + 1);
   }
 }

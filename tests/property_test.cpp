@@ -425,12 +425,13 @@ TEST(InfoAreaProperty, RandomPushConsumeNeverLosesRecords) {
   std::uint64_t pushed = 0, consumed = 0;
   for (int i = 0; i < 100000; ++i) {
     if (!ring.full() && (ring.empty() || rng.next_bool(0.5))) {
-      const auto idx = ring.push({pushed, pushed, 1, 1});
+      const auto idx =
+          ring.push({pushed, pushed, 1, 1}, static_cast<SimTime>(i));
       ASSERT_EQ(idx, pushed);
       ++pushed;
     } else {
       ASSERT_EQ(ring.at(consumed).dest, consumed);
-      ring.consume();
+      ring.release(consumed, static_cast<SimTime>(i));
       ++consumed;
     }
     ASSERT_EQ(ring.in_flight(), pushed - consumed);

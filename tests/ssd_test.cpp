@@ -215,41 +215,44 @@ TEST(Pcie, DmaTransfersSerialiseOnLink) {
 TEST(InfoArea, PushConsumeRoundTrip) {
   InfoArea ring(4);
   EXPECT_TRUE(ring.empty());
-  const auto idx = ring.push({100, 5, 64, 128});
+  const auto idx = ring.push({100, 5, 64, 128}, 0);
   EXPECT_EQ(idx, 0u);
   EXPECT_EQ(ring.in_flight(), 1u);
   const InfoRecord& rec = ring.at(idx);
   EXPECT_EQ(rec.dest, 100u);
   EXPECT_EQ(rec.lba, 5u);
-  ring.consume();
+  ring.release(ring.head(), 10);
   EXPECT_TRUE(ring.empty());
+  EXPECT_EQ(ring.occupancy().integral_ns(), 10u);
 }
 
 TEST(InfoArea, WrapsAroundCapacity) {
   InfoArea ring(2);
   for (std::uint64_t i = 0; i < 10; ++i) {
-    const auto idx = ring.push({i, i, 1, 1});
+    const auto idx = ring.push({i, i, 1, 1}, i);
     EXPECT_EQ(ring.at(idx).dest, i);
-    ring.consume();
+    ring.release(ring.head(), i);
   }
   EXPECT_EQ(ring.head(), 10u);
   EXPECT_EQ(ring.tail(), 10u);
+  EXPECT_EQ(ring.peak_in_flight(), 1u);
 }
 
 TEST(InfoArea, FullDetection) {
   InfoArea ring(2);
-  ring.push({});
+  ring.push({}, 0);
   EXPECT_FALSE(ring.full());
-  ring.push({});
+  ring.push({}, 0);
   EXPECT_TRUE(ring.full());
-  ring.consume();
+  ring.release(ring.head(), 0);
   EXPECT_FALSE(ring.full());
+  EXPECT_EQ(ring.peak_in_flight(), 2u);
 }
 
 TEST(InfoAreaDeathTest, OverflowAsserts) {
   InfoArea ring(1);
-  ring.push({});
-  EXPECT_DEATH(ring.push({}), "overflow");
+  ring.push({}, 0);
+  EXPECT_DEATH(ring.push({}, 0), "overflow");
 }
 
 TEST(Hmb, LayoutPartitionsDoNotOverlap) {
@@ -465,8 +468,8 @@ TEST_F(ControllerFixture, FgReadLandsBytesAtHmbDestinations) {
   Command cmd;
   cmd.op = Opcode::kFgRead;
   cmd.ranges = {
-      {20, 100, 128, info.push({d0, 20, 100, 128})},
-      {21, 512, 64, info.push({d1, 21, 512, 64})},
+      {20, 100, 128, info.push({d0, 20, 100, 128}, sim.now())},
+      {21, 512, 64, info.push({d1, 21, 512, 64}, sim.now())},
   };
   run(std::move(cmd));
 
@@ -493,7 +496,7 @@ TEST_F(ControllerFixture, FgReadLoadsEachDistinctPageOnce) {
   for (std::uint32_t i = 0; i < 4; ++i) {
     const std::uint32_t off = i * 128;
     cmd.ranges.push_back(
-        {30, off, 128, info.push({base + i * 128, 30, off, 128})});
+        {30, off, 128, info.push({base + i * 128, 30, off, 128}, sim.now())});
   }
   run(std::move(cmd));
   EXPECT_EQ(ctrl.nand().stats().page_reads, 1u);  // one page, four ranges
@@ -504,7 +507,8 @@ TEST_F(ControllerFixture, FgReadTrafficIsOnlyDemandedBytes) {
   auto& info = ctrl.hmb().info();
   Command cmd;
   cmd.op = Opcode::kFgRead;
-  cmd.ranges = {{40, 0, 8, info.push({ctrl.hmb().data_offset(), 40, 0, 8})}};
+  cmd.ranges = {
+      {40, 0, 8, info.push({ctrl.hmb().data_offset(), 40, 0, 8}, sim.now())}};
   run(std::move(cmd));
   EXPECT_EQ(ctrl.stats().bytes_to_host, 8u);
 }
@@ -578,7 +582,8 @@ TEST_F(ControllerFixture, FgWriteThenFgReadRoundTrip) {
   auto& info = ctrl.hmb().info();
   Command r;
   r.op = Opcode::kFgRead;
-  r.ranges = {{90, 500, 32, info.push({ctrl.hmb().data_offset(), 90, 500, 32})}};
+  r.ranges = {{90, 500, 32,
+               info.push({ctrl.hmb().data_offset(), 90, 500, 32}, sim.now())}};
   run(std::move(r));
   std::vector<std::uint8_t> out(32);
   ctrl.hmb().read(ctrl.hmb().data_offset(), {out.data(), out.size()});
@@ -645,7 +650,8 @@ TEST_F(ControllerFixture, FgReadsFromManyPagesUseParallelDies) {
     const Lba lba = i;  // striped across the 4 channels x 2 ways
     cmd.ranges.push_back(
         {lba, 0, 64,
-         info.push({ctrl.hmb().data_offset() + i * 64, lba, 0, 64})});
+         info.push({ctrl.hmb().data_offset() + i * 64, lba, 0, 64},
+                   sim.now())});
   }
   const SimTime t0 = sim.now();
   run(std::move(cmd));
@@ -832,7 +838,8 @@ class RetirePath : public ::testing::TestWithParam<std::uint32_t> {
       for (std::uint32_t i = 0; i < pages; ++i) {
         const HmbAddr dest = ctrl.hmb().data_offset() + i * 64;
         cmd.ranges.push_back(
-            {lba0 + i, 256, 64, info.push({dest, lba0 + i, 256, 64})});
+            {lba0 + i, 256, 64,
+             info.push({dest, lba0 + i, 256, 64}, sim.now())});
       }
       submit(std::move(cmd));
     }
